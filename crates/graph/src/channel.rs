@@ -15,17 +15,21 @@
 //! Fault-free, a channel is a plain bounded FIFO: the differential
 //! property test pins its delivery order byte-for-byte against a
 //! `VecDeque` reference for arbitrary send/recv interleavings.
+//!
+//! Payloads are `&'static str`: the engine's wire bodies come from a
+//! static table, so a transfer moves a pointer and a warmed channel never
+//! allocates.
 
 use crate::fault::{ChannelFaultKind, Leg, Persistence};
 use serde::{Deserialize, Serialize};
 
 /// One message in flight on a channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Monotone per-channel sequence number, assigned at send.
     pub seq: u64,
     /// Application payload (a request or reply body).
-    pub body: String,
+    pub body: &'static str,
 }
 
 /// Why a send was refused.
@@ -91,13 +95,13 @@ impl Channel {
     /// # Errors
     ///
     /// [`SendError::Full`] when the bounded queue is at capacity.
-    pub fn send(&mut self, body: impl Into<String>) -> Result<u64, SendError> {
+    pub fn send(&mut self, body: &'static str) -> Result<u64, SendError> {
         if self.queue.len() >= self.capacity {
             return Err(SendError::Full);
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push_back(Message { seq, body: body.into() });
+        self.queue.push_back(Message { seq, body });
         Ok(seq)
     }
 
@@ -177,14 +181,15 @@ mod tests {
 
     #[test]
     fn fifo_delivery_in_send_order() {
+        const BODIES: [&str; 5] = ["m0", "m1", "m2", "m3", "m4"];
         let mut ch = Channel::new("t");
-        for i in 0..5 {
-            ch.send(format!("m{i}")).unwrap();
+        for body in BODIES {
+            ch.send(body).unwrap();
         }
-        for i in 0..5 {
+        for (i, body) in BODIES.into_iter().enumerate() {
             let m = ch.recv().unwrap();
-            assert_eq!(m.seq, i);
-            assert_eq!(m.body, format!("m{i}"));
+            assert_eq!(m.seq, i as u64);
+            assert_eq!(m.body, body);
         }
         assert!(ch.recv().is_none());
     }

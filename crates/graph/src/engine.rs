@@ -228,29 +228,50 @@ impl GraphUnitStats {
     }
 }
 
+/// The standard graph mix's bodies, half static web requests, half
+/// db-backed: each entry is the web request and the db sub-call, if any.
+const GRAPH_MIX: [(&str, Option<&str>); 6] = [
+    ("GET /index.html", None),
+    ("AUTH admin", None),
+    ("KEEPALIVE 4", None),
+    ("GET /index.html", Some("PING")),
+    ("GET /index.html", Some("FLUSH TABLES")),
+    ("AUTH admin", Some("PING")),
+];
+
+/// The operator console's probe body.
+const PROBE_BODY: &str = "PROBE console";
+
+/// One hop of a graph request: the body the wire carries and the request
+/// the receiving tier's application handles. The wire body is static, so
+/// a transfer moves a pointer instead of copying the request.
+#[derive(Debug, Clone)]
+pub struct Hop {
+    /// The payload the channel carries.
+    pub wire: &'static str,
+    /// The request the receiving tier handles.
+    pub req: Request,
+}
+
+impl Hop {
+    fn new(body: &'static str) -> Hop {
+        Hop { wire: body, req: Request::new(body) }
+    }
+}
+
 /// One entry of the graph request mix: the client-visible web request
 /// and, for data-plane entries, the db sub-call the web tier fans out.
 #[derive(Debug, Clone)]
 pub struct GraphRequest {
     /// The request the client sends the web tier.
-    pub web: Request,
+    pub web: Hop,
     /// The sub-call the web tier makes to the db tier, if any.
-    pub db: Option<Request>,
+    pub db: Option<Hop>,
 }
 
-/// The standard graph mix: half static web requests, half db-backed.
+/// The standard graph mix, built from one static body table.
 pub fn graph_mix() -> Vec<GraphRequest> {
-    vec![
-        GraphRequest { web: Request::new("GET /index.html"), db: None },
-        GraphRequest { web: Request::new("AUTH admin"), db: None },
-        GraphRequest { web: Request::new("KEEPALIVE 4"), db: None },
-        GraphRequest { web: Request::new("GET /index.html"), db: Some(Request::new("PING")) },
-        GraphRequest {
-            web: Request::new("GET /index.html"),
-            db: Some(Request::new("FLUSH TABLES")),
-        },
-        GraphRequest { web: Request::new("AUTH admin"), db: Some(Request::new("PING")) },
-    ]
+    GRAPH_MIX.map(|(web, db)| GraphRequest { web: Hop::new(web), db: db.map(Hop::new) }).into()
 }
 
 /// The single-node web mix the degenerate path feeds `run_open_loop`.
@@ -346,6 +367,7 @@ pub fn run_graph(
         recovery_seed,
     );
     let mix = graph_mix();
+    let probe_req = Request::new(PROBE_BODY);
     if params.requests == 0 {
         stats.base.sim_nanos = env.now().as_nanos();
         return stats;
@@ -393,7 +415,7 @@ pub fn run_graph(
                     env.advance(at.saturating_since(env.now()));
                 }
                 graph.apply_due(plan, env.now());
-                probe(graph, env, &mut stats);
+                probe(graph, env, &probe_req, &mut stats);
                 if stats.base.offered < params.requests {
                     wheel.schedule(at.saturating_add(PROBE_EVERY), Event::Probe);
                 }
@@ -441,17 +463,18 @@ pub fn run_graph(
 /// web tier answers. No fault kind targets this edge; the probe keeps
 /// the console channel live and measures that the graph stays responsive
 /// to operators while the data plane is under fault.
-fn probe(graph: &mut ServiceGraph, env: &mut Environment, stats: &mut GraphUnitStats) {
+fn probe(
+    graph: &mut ServiceGraph,
+    env: &mut Environment,
+    req: &Request,
+    stats: &mut GraphUnitStats,
+) {
     let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
     edge.sends += 1;
     env.advance(TRANSFER);
-    let _ = graph.channel(EdgeId::IdeWeb).send("PROBE console");
+    let _ = graph.channel(EdgeId::IdeWeb).send(PROBE_BODY);
     let _ = graph.channel(EdgeId::IdeWeb).recv();
-    let ok = graph
-        .node(NodeId::Web)
-        .handle(&Request::new("PROBE console"), env)
-        .map(|r| r.is_ok())
-        .unwrap_or(false);
+    let ok = graph.node(NodeId::Web).handle(req, env).map(|r| r.is_ok()).unwrap_or(false);
     env.advance(TRANSFER);
     let edge = stats.edges.edge_mut(EdgeId::IdeWeb);
     edge.sends += 1;
@@ -484,85 +507,61 @@ fn serve_chain(
         if ctx.chain.expired(env.now()) {
             return finish_dropped(&mut ctx, stats);
         }
-        // Request leg: client → web over the client-web channel.
-        match transfer(
-            graph,
-            env,
-            EdgeId::ClientWeb,
-            Leg::Request,
-            &req.web.body,
-            plane,
-            tree,
-            &mut ctx,
-            stats,
-        ) {
-            Ok(()) => {}
-            Err(ChannelReset { .. }) => {
-                if retry_client(&mut ctx, retry_budget, env, stats) {
-                    continue;
+        // One attempt of the whole chain: `Some(denied)` once the reply
+        // reaches the client, `None` when a typed reset tore it down.
+        let served = 'attempt: {
+            // Request leg: client → web over the client-web channel.
+            let edge = EdgeId::ClientWeb;
+            if transfer(graph, env, edge, Leg::Request, req.web.wire, plane, tree, &mut ctx, stats)
+                .is_err()
+            {
+                break 'attempt None;
+            }
+            // Web service.
+            advance_clamped(env, &ctx.chain, WEB_SERVICE);
+            let web_denied = match graph.node(NodeId::Web).handle(&req.web.req, env) {
+                Ok(resp) => !resp.is_ok(),
+                Err(_) => {
+                    // An endpoint failure outside the wire corpus: treat
+                    // it as a crash of the web tier and recover per plane.
+                    stats.base.failures += 1;
+                    note_fault(&mut ctx, env);
+                    recover(graph, env, tree, plane, edge, NodeId::Web, &mut ctx, stats);
+                    break 'attempt None;
                 }
-                return finish_dropped(&mut ctx, stats);
-            }
-        }
-        // Web service.
-        advance_clamped(env, &ctx.chain, WEB_SERVICE);
-        let web_result = graph.node(NodeId::Web).handle(&req.web, env);
-        let web_denied = match web_result {
-            Ok(resp) => !resp.is_ok(),
-            Err(_) => {
-                // An endpoint failure outside the wire corpus: treat it
-                // as a crash of the web tier and recover per plane.
-                stats.base.failures += 1;
-                note_fault(&mut ctx, env);
-                recover(graph, env, tree, plane, EdgeId::ClientWeb, NodeId::Web, &mut ctx, stats);
-                if retry_client(&mut ctx, retry_budget, env, stats) {
-                    continue;
+            };
+            // Db sub-call, with its own web-level retry loop.
+            let mut db_denied = false;
+            if let Some(db) = &req.db {
+                if !ctx.counted_db {
+                    ctx.counted_db = true;
+                    stats.db_first += 1;
                 }
-                return finish_dropped(&mut ctx, stats);
-            }
-        };
-        // Db sub-call, with its own web-level retry loop.
-        let mut db_denied = false;
-        if let Some(db_req) = &req.db {
-            if !ctx.counted_db {
-                ctx.counted_db = true;
-                stats.db_first += 1;
-            }
-            match serve_db(graph, env, tree, plane, retry_budget, db_req, &mut ctx, stats) {
-                Ok(denied) => db_denied = denied,
-                Err(ChannelReset { .. }) => {
+                match serve_db(graph, env, tree, plane, retry_budget, db, &mut ctx, stats) {
+                    Ok(denied) => db_denied = denied,
                     // The sub-call is gone past the web tier's budget:
-                    // propagate the typed reset upstream — the client is
+                    // the typed reset propagates upstream — the client is
                     // the next level that may retry idempotently.
-                    if retry_client(&mut ctx, retry_budget, env, stats) {
-                        continue;
-                    }
-                    return finish_dropped(&mut ctx, stats);
+                    Err(ChannelReset { .. }) => break 'attempt None,
                 }
             }
-        }
-        // Reply leg: web → client. No corpus kind targets this leg, but
-        // the consult keeps the wire honest under future corpora.
-        match transfer(
-            graph,
-            env,
-            EdgeId::ClientWeb,
-            Leg::Reply,
-            "reply",
-            plane,
-            tree,
-            &mut ctx,
-            stats,
-        ) {
-            Ok(()) => {}
-            Err(ChannelReset { .. }) => {
-                if retry_client(&mut ctx, retry_budget, env, stats) {
-                    continue;
-                }
-                return finish_dropped(&mut ctx, stats);
+            // Reply leg: web → client. No corpus kind targets this leg,
+            // but the consult keeps the wire honest under future corpora.
+            if transfer(graph, env, edge, Leg::Reply, "reply", plane, tree, &mut ctx, stats)
+                .is_err()
+            {
+                break 'attempt None;
             }
+            Some(web_denied || db_denied)
+        };
+        match served {
+            Some(denied) => return finish_served(&mut ctx, tree, env, stats, denied),
+            None if ctx.client_retries < retry_budget && !ctx.chain.expired(env.now()) => {
+                ctx.client_retries += 1;
+                stats.edges.edge_mut(EdgeId::ClientWeb).retried += 1;
+            }
+            None => return finish_dropped(&mut ctx, stats),
         }
-        return finish_served(&mut ctx, tree, env, stats, web_denied || db_denied);
     }
 }
 
@@ -576,7 +575,7 @@ fn serve_db(
     tree: &mut RestartTree,
     plane: PlaneKind,
     retry_budget: u32,
-    db_req: &Request,
+    db: &Hop,
     ctx: &mut ChainCtx,
     stats: &mut GraphUnitStats,
 ) -> Result<bool, ChannelReset> {
@@ -585,58 +584,42 @@ fn serve_db(
         if ctx.chain.expired(env.now()) {
             return Err(ChannelReset { edge: EdgeId::WebDb });
         }
-        // Request leg: web → db.
-        if transfer(graph, env, EdgeId::WebDb, Leg::Request, &db_req.body, plane, tree, ctx, stats)
-            .is_err()
-        {
-            if web_retries < retry_budget && !ctx.chain.expired(env.now()) {
+        let delivered = 'attempt: {
+            // Request leg: web → db.
+            let edge = EdgeId::WebDb;
+            if transfer(graph, env, edge, Leg::Request, db.wire, plane, tree, ctx, stats).is_err() {
+                break 'attempt None;
+            }
+            // Db service: the sub-call executes — this is the work retries
+            // re-drive, the amplification the campaign prices.
+            advance_clamped(env, &ctx.chain, DB_SERVICE);
+            stats.db_seen += 1;
+            let denied = match graph.node(NodeId::Db).handle(&db.req, env) {
+                Ok(resp) => !resp.is_ok(),
+                Err(_) => {
+                    stats.base.failures += 1;
+                    note_fault(ctx, env);
+                    recover(graph, env, tree, plane, edge, NodeId::Db, ctx, stats);
+                    break 'attempt None;
+                }
+            };
+            // Reply leg: db → web. This is where the send-side corpus bites.
+            reply_transfer(graph, env, plane, tree, ctx, stats).then_some(denied)
+        };
+        match delivered {
+            Some(denied) => return Ok(denied),
+            None if web_retries < retry_budget && !ctx.chain.expired(env.now()) => {
                 web_retries += 1;
                 stats.edges.edge_mut(EdgeId::WebDb).retried += 1;
-                continue;
             }
-            return Err(ChannelReset { edge: EdgeId::WebDb });
-        }
-        // Db service: the sub-call executes — this is the work retries
-        // re-drive, the amplification the campaign prices.
-        advance_clamped(env, &ctx.chain, DB_SERVICE);
-        stats.db_seen += 1;
-        let denied = match graph.node(NodeId::Db).handle(db_req, env) {
-            Ok(resp) => !resp.is_ok(),
-            Err(_) => {
-                stats.base.failures += 1;
-                note_fault(ctx, env);
-                recover(graph, env, tree, plane, EdgeId::WebDb, NodeId::Db, ctx, stats);
-                if web_retries < retry_budget && !ctx.chain.expired(env.now()) {
-                    web_retries += 1;
-                    stats.edges.edge_mut(EdgeId::WebDb).retried += 1;
-                    continue;
-                }
-                return Err(ChannelReset { edge: EdgeId::WebDb });
-            }
-        };
-        // Reply leg: db → web. This is where the send-side corpus bites.
-        match reply_transfer(graph, env, plane, tree, ctx, stats) {
-            ReplyOutcome::Delivered => return Ok(denied),
-            ReplyOutcome::Lost => {
-                if web_retries < retry_budget && !ctx.chain.expired(env.now()) {
-                    web_retries += 1;
-                    stats.edges.edge_mut(EdgeId::WebDb).retried += 1;
-                    continue;
-                }
-                return Err(ChannelReset { edge: EdgeId::WebDb });
-            }
+            None => return Err(ChannelReset { edge: EdgeId::WebDb }),
         }
     }
 }
 
-/// What became of the db's reply.
-enum ReplyOutcome {
-    Delivered,
-    Lost,
-}
-
 /// Moves the db's reply across the web-db channel, consulting the fault
 /// state on the reply leg — the site of every send-side corpus kind.
+/// Returns whether the reply reached the web tier.
 fn reply_transfer(
     graph: &mut ServiceGraph,
     env: &mut Environment,
@@ -644,13 +627,13 @@ fn reply_transfer(
     tree: &mut RestartTree,
     ctx: &mut ChainCtx,
     stats: &mut GraphUnitStats,
-) -> ReplyOutcome {
+) -> bool {
     let edge = EdgeId::WebDb;
     stats.edges.edge_mut(edge).sends += 1;
     advance_clamped(env, &ctx.chain, TRANSFER);
     let Some(kind) = graph.channel(edge).fault_for(Leg::Reply) else {
         stats.edges.edge_mut(edge).delivered += 1;
-        return ReplyOutcome::Delivered;
+        return true;
     };
     stats.edges.edge_mut(edge).faults += 1;
     stats.base.failures += 1;
@@ -660,19 +643,19 @@ fn reply_transfer(
             // The db died after doing the work; the reply is gone.
             stats.edges.edge_mut(edge).lost += 1;
             recover(graph, env, tree, plane, edge, NodeId::Db, ctx, stats);
-            ReplyOutcome::Lost
+            false
         }
         FaultBehavior::CrashReceiver => {
             stats.edges.edge_mut(edge).lost += 1;
             recover(graph, env, tree, plane, edge, NodeId::Web, ctx, stats);
-            ReplyOutcome::Lost
+            false
         }
         FaultBehavior::LoseMessage => {
             // Silent loss: the web tier only learns from its timeout.
             stats.edges.edge_mut(edge).lost += 1;
             advance_clamped(env, &ctx.chain, LOST_TIMEOUT);
             stats.base.watchdog_fires += 1;
-            ReplyOutcome::Lost
+            false
         }
         FaultBehavior::Hang => {
             // The channel wedges; hang detection converts the silence
@@ -681,7 +664,7 @@ fn reply_transfer(
             stats.base.watchdog_fires += 1;
             stats.edges.edge_mut(edge).lost += 1;
             recover(graph, env, tree, plane, edge, NodeId::Db, ctx, stats);
-            ReplyOutcome::Lost
+            false
         }
         FaultBehavior::HangAfterDeliver => {
             // The reply WAS delivered; the sender's bookkeeping hangs and
@@ -692,7 +675,7 @@ fn reply_transfer(
             e.delivered += 1;
             e.duplicated += 1;
             recover(graph, env, tree, plane, edge, NodeId::Db, ctx, stats);
-            ReplyOutcome::Delivered
+            true
         }
     }
 }
@@ -705,7 +688,7 @@ fn transfer(
     env: &mut Environment,
     edge: EdgeId,
     leg: Leg,
-    body: &str,
+    body: &'static str,
     plane: PlaneKind,
     tree: &mut RestartTree,
     ctx: &mut ChainCtx,
@@ -729,11 +712,7 @@ fn transfer(
     match kind.behavior() {
         FaultBehavior::CrashReceiver | FaultBehavior::CrashSender => {
             stats.edges.edge_mut(edge).lost += 1;
-            let endpoint = match edge {
-                EdgeId::ClientWeb | EdgeId::IdeWeb => NodeId::Web,
-                EdgeId::WebDb => NodeId::Db,
-            };
-            recover(graph, env, tree, plane, edge, endpoint, ctx, stats);
+            recover(graph, env, tree, plane, edge, edge.callee(), ctx, stats);
             Err(ChannelReset { edge })
         }
         FaultBehavior::LoseMessage => {
@@ -746,11 +725,7 @@ fn transfer(
             advance_clamped(env, &ctx.chain, HANG_DETECT);
             stats.base.watchdog_fires += 1;
             stats.edges.edge_mut(edge).lost += 1;
-            let endpoint = match edge {
-                EdgeId::ClientWeb | EdgeId::IdeWeb => NodeId::Web,
-                EdgeId::WebDb => NodeId::Db,
-            };
-            recover(graph, env, tree, plane, edge, endpoint, ctx, stats);
+            recover(graph, env, tree, plane, edge, edge.callee(), ctx, stats);
             Err(ChannelReset { edge })
         }
     }
@@ -815,11 +790,8 @@ fn recover(
 /// and tears down the node's incident channels (index 0 is the service
 /// root, whose own restart is the members' job).
 fn restart_component(graph: &mut ServiceGraph, component: usize, stats: &mut GraphUnitStats) {
-    let node = match component {
-        1 => NodeId::Web,
-        2 => NodeId::Db,
-        3 => NodeId::Ide,
-        _ => return,
+    let Some(node) = NodeId::ALL.into_iter().find(|n| n.component() == component) else {
+        return;
     };
     graph.restore_node(node);
     count_resets(graph.reset_channels_of(node), node, stats);
@@ -828,15 +800,8 @@ fn restart_component(graph: &mut ServiceGraph, component: usize, stats: &mut Gra
 /// Books the resets and drain losses a node restart inflicted on its
 /// incident channels.
 fn count_resets(drained: u64, node: NodeId, stats: &mut GraphUnitStats) {
-    for edge in EdgeId::ALL {
-        let touches = match edge {
-            EdgeId::ClientWeb => node == NodeId::Web,
-            EdgeId::WebDb => node == NodeId::Web || node == NodeId::Db,
-            EdgeId::IdeWeb => node == NodeId::Ide || node == NodeId::Web,
-        };
-        if touches {
-            stats.edges.edge_mut(edge).resets += 1;
-        }
+    for edge in EdgeId::ALL.into_iter().filter(|e| e.touches(node)) {
+        stats.edges.edge_mut(edge).resets += 1;
     }
     // Drained messages were in flight on some incident edge; the graph
     // reports only the total, which the ledger books against the node's
@@ -852,22 +817,6 @@ fn count_resets(drained: u64, node: NodeId, stats: &mut GraphUnitStats) {
 /// Notes the chain's first fault instant for the TTR span.
 fn note_fault(ctx: &mut ChainCtx, env: &Environment) {
     ctx.first_fault.get_or_insert(env.now());
-}
-
-/// Books a client-level retry if budget and chain deadline allow.
-fn retry_client(
-    ctx: &mut ChainCtx,
-    retry_budget: u32,
-    env: &Environment,
-    stats: &mut GraphUnitStats,
-) -> bool {
-    if ctx.client_retries < retry_budget && !ctx.chain.expired(env.now()) {
-        ctx.client_retries += 1;
-        stats.edges.edge_mut(EdgeId::ClientWeb).retried += 1;
-        true
-    } else {
-        false
-    }
 }
 
 /// Closes a successful chain: cascade depth, TTR, restart-tree settle.

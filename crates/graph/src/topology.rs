@@ -55,6 +55,26 @@ impl NodeId {
     }
 }
 
+impl EdgeId {
+    /// The node that serves calls arriving on this edge — the endpoint a
+    /// fault on the edge damages when no leg says otherwise.
+    pub fn callee(self) -> NodeId {
+        match self {
+            EdgeId::ClientWeb | EdgeId::IdeWeb => NodeId::Web,
+            EdgeId::WebDb => NodeId::Db,
+        }
+    }
+
+    /// Whether `node` is an endpoint of this edge (clients are not nodes).
+    pub fn touches(self, node: NodeId) -> bool {
+        match self {
+            EdgeId::ClientWeb => node == NodeId::Web,
+            EdgeId::WebDb => node == NodeId::Web || node == NodeId::Db,
+            EdgeId::IdeWeb => node == NodeId::Ide || node == NodeId::Web,
+        }
+    }
+}
+
 /// The restart-tree view of the service for process-level supervision:
 /// a `service` root with the three nodes as volatile children. Node boot
 /// costs dominate channel resets by design — that gap is the mechanism
@@ -192,31 +212,7 @@ impl ServiceGraph {
     /// to the drains. Process-level restarts call this: rebooting an
     /// endpoint necessarily tears down its channels too.
     pub fn reset_channels_of(&mut self, node: NodeId) -> u64 {
-        let mut lost = 0;
-        for edge in EdgeId::ALL {
-            let touches = match edge {
-                EdgeId::ClientWeb => node == NodeId::Web,
-                EdgeId::WebDb => node == NodeId::Web || node == NodeId::Db,
-                EdgeId::IdeWeb => node == NodeId::Ide || node == NodeId::Web,
-            };
-            if touches {
-                lost += self.channel(edge).reset();
-            }
-        }
-        lost
-    }
-
-    /// The node at the faulted end of `edge`/`leg` — the endpoint a
-    /// channel-plane recovery microreboots.
-    pub fn endpoint_of(edge: EdgeId, sender_side: bool) -> NodeId {
-        match (edge, sender_side) {
-            // On the reply leg of web→db the sender is the db tier; the
-            // request leg's receiver is also below the edge.
-            (EdgeId::ClientWeb, true) => NodeId::Web,
-            (EdgeId::ClientWeb, false) => NodeId::Web,
-            (EdgeId::WebDb, _) => NodeId::Db,
-            (EdgeId::IdeWeb, _) => NodeId::Web,
-        }
+        EdgeId::ALL.into_iter().filter(|e| e.touches(node)).map(|e| self.channel(e).reset()).sum()
     }
 }
 

@@ -19,6 +19,12 @@ use faultstudy_sim::time::{Duration, SimTime};
 use faultstudy_traffic::{run_open_loop, ArrivalKind, TrafficParams};
 use proptest::prelude::*;
 
+/// Payloads for the FIFO differential. Channels carry `&'static str`
+/// bodies, so each send takes the entry at its op index; every delivery
+/// is still checked for both its `seq` and its payload.
+const BODIES: [&str; 13] =
+    ["m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8", "m9", "m10", "m11", "m12"];
+
 proptest! {
     /// Fault-free channel vs a sequential `VecDeque` reference: for any
     /// interleaving of sends and recvs, deliveries come back in exactly
@@ -29,15 +35,15 @@ proptest! {
         ops in prop::collection::vec(any::<u8>(), 1..200),
     ) {
         let mut ch = Channel::new("dut");
-        let mut reference: VecDeque<(u64, String)> = VecDeque::new();
+        let mut reference: VecDeque<(u64, &str)> = VecDeque::new();
         let mut next_seq = 0u64;
         for (i, op) in ops.iter().enumerate() {
             if op % 3 != 0 {
-                let body = format!("m{i}");
+                let body = BODIES[i % BODIES.len()];
                 if reference.len() >= CHANNEL_CAPACITY {
-                    prop_assert_eq!(ch.send(&body), Err(SendError::Full));
+                    prop_assert_eq!(ch.send(body), Err(SendError::Full));
                 } else {
-                    let seq = ch.send(&body).expect("reference has room");
+                    let seq = ch.send(body).expect("reference has room");
                     prop_assert_eq!(seq, next_seq);
                     reference.push_back((next_seq, body));
                     next_seq += 1;

@@ -119,3 +119,26 @@ fn defects_defeat_both_recovery_planes() {
         assert!(ei.availability() < 1.0, "{}: availability must stay degraded", plane.name());
     }
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Cross-commit golden: the report's JSON followed by its rendered table
+/// hash to a constant recorded before the graph engine's wire path was
+/// made allocation-free. The identity suites above compare a run only
+/// with itself; this pin is what proves a performance change kept the
+/// bytes. ROADMAP item 1 (a log-linear histogram in place of the base-2
+/// buckets) changes the serialized histograms and will regenerate this
+/// hash by design — say so in CHANGES.md when it does.
+#[test]
+fn campaign_bytes_match_the_recorded_golden() {
+    let report = GraphReport::run(contract_spec(2000));
+    let mut bytes = serde_json::to_string(&report).expect("report serializes").into_bytes();
+    bytes.extend_from_slice(report.to_string().as_bytes());
+    let hash = fnv1a64(&bytes);
+    assert_eq!(hash, 0xb36c_fc25_301e_df2e, "graph campaign bytes changed: {hash:#018x}");
+}
