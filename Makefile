@@ -24,21 +24,11 @@ bench-obs:
 bench-inject:
 	sh scripts/bench_inject.sh
 
-# Writes BENCH_traffic.json: open-loop traffic engine requests/sec at 1..N threads.
-bench-traffic:
-	sh scripts/bench_traffic.sh
-
-# Writes BENCH_micro.json: microreboot campaign requests/sec + TTR ratio vs restart.
-bench-micro:
-	sh scripts/bench_micro.sh
-
-# Writes BENCH_oblivious.json: oblivious campaign requests/sec + EI rescue ratio.
-bench-oblivious:
-	sh scripts/bench_oblivious.sh
-
-# Writes BENCH_graph.json: graph campaign requests/sec + channel-vs-process TTR ratio.
-bench-graph:
-	sh scripts/bench_graph.sh
+# Writes BENCH_<plane>.json: one open-loop campaign plane's requests/sec at
+# 1..N threads plus its headline (traffic: SLO ledger; micro: TTR ratio vs
+# restart; oblivious: EI rescue ratio; graph: channel-vs-process TTR ratio).
+bench-traffic bench-micro bench-oblivious bench-graph:
+	sh scripts/bench_campaign.sh $(@:bench-%=%)
 
 verify:
 	cargo run --release -p faultstudy-harness --bin faultstudy -- verify

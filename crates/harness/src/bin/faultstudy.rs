@@ -30,10 +30,10 @@
 use faultstudy_core::taxonomy::AppKind;
 use faultstudy_core::timeline::{by_month, by_release};
 use faultstudy_corpus::paper_study;
+use faultstudy_harness::driver::{self, CampaignPlane};
 use faultstudy_harness::{
-    paper_scale_funnels_with, CampaignReport, CampaignSpec, GraphReport, GraphSpec, InjectReport,
-    InjectSpec, MicroReport, MicroSpec, ObliviousReport, ObliviousSpec, ParallelSpec,
-    RecoveryMatrix, TrafficReport, TrafficSpec,
+    paper_scale_funnels_with, CampaignReport, CampaignSpec, GraphReport, InjectReport, InjectSpec,
+    MicroReport, ObliviousReport, OpenLoopSpec, ParallelSpec, RecoveryMatrix, TrafficReport,
 };
 use faultstudy_report::{
     render_discussion, render_release_figure, render_table, render_time_figure,
@@ -52,11 +52,11 @@ struct Options {
     /// holds O(threads) state regardless of this value, so multi-million
     /// sample stress runs are just slower, not bigger.
     samples: u32,
-    /// Total requests the `traffic` subcommand offers across its units.
-    /// All of it is simulated time, so millions of requests are seconds
-    /// of wall clock.
+    /// Total requests the open-loop subcommands (`traffic`, `micro`,
+    /// `graph`, `oblivious`) offer across their units. All of it is
+    /// simulated time, so millions of requests are seconds of wall clock.
     requests: u64,
-    /// Arrival process of the `traffic` subcommand.
+    /// Arrival process of the open-loop subcommands.
     arrival: ArrivalKind,
 }
 
@@ -134,6 +134,7 @@ fn main() -> ExitCode {
             }
         }
     }
+    let load = OpenLoopSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
     let ok = match command.as_str() {
         "tables" => tables(&opts),
         "figures" => figures(&opts),
@@ -146,11 +147,22 @@ fn main() -> ExitCode {
             true
         }
         "campaign" => campaign(&opts),
-        "inject" => inject(&opts),
-        "traffic" => traffic(&opts),
-        "micro" => micro(&opts),
-        "graph" => graph(&opts),
-        "oblivious" => oblivious(&opts),
+        "inject" => plane::<InjectReport>(&opts, "inject", InjectSpec { seed: opts.seed }, None),
+        "traffic" => {
+            plane::<TrafficReport>(&opts, "traffic", load, Some(RecoveryMatrix::render_with_slo))
+        }
+        "micro" => {
+            plane::<MicroReport>(&opts, "micro", load, Some(RecoveryMatrix::render_with_micro))
+        }
+        "graph" => {
+            plane::<GraphReport>(&opts, "graph", load, Some(RecoveryMatrix::render_with_graph))
+        }
+        "oblivious" => plane::<ObliviousReport>(
+            &opts,
+            "oblivious",
+            load,
+            Some(RecoveryMatrix::render_with_oracle),
+        ),
         "metrics" => metrics(&opts),
         "verify" => verify(&opts),
         "all" => {
@@ -442,89 +454,42 @@ fn campaign_ok(what: &str, anomalies: &[String]) -> bool {
     anomalies.is_empty()
 }
 
-/// The injection campaign: every standard plan x strategy x scrub setting
-/// under the hardened supervisor. Exits non-zero if the class contract is
-/// violated, so the command doubles as a CI smoke check.
-fn inject(opts: &Options) -> bool {
-    let report = InjectReport::run_with(InjectSpec { seed: opts.seed }, opts.parallel);
+/// One campaign-plane subcommand: runs the plane, prints its report —
+/// followed by the recovery matrix extended with the plane's column
+/// families, when it has them — or the report's JSON, and exits non-zero
+/// if the class contract is violated or unchecked, so every such command
+/// doubles as a CI smoke check.
+///
+/// - `inject`: every standard plan x strategy x scrub setting under the
+///   hardened supervisor.
+/// - `traffic`: open-loop request streams through every injection plan x
+///   strategy x application, reported as availability, goodput and tail
+///   latency, with the matrix's SLO-miss family.
+/// - `micro`: the same traffic under whole-process restart and crash-only
+///   component microreboot, with time-to-recovery.
+/// - `graph`: the applications wired into a service graph with the IPC
+///   fault corpus on the wire, per-channel recovery raced against process
+///   supervision across a retry-budget sweep.
+/// - `oblivious`: the same traffic under restart, failure-oblivious
+///   discard, manufactured defaults, in-place scrubbing and the
+///   profile-guided healer, priced by each application's correctness
+///   oracle.
+fn plane<P: CampaignPlane>(
+    opts: &Options,
+    what: &str,
+    spec: P::Spec,
+    matrix_family: Option<fn(&RecoveryMatrix, &P) -> String>,
+) -> bool {
+    let (report, _) = driver::run::<P>(spec, opts.parallel, false);
     if opts.json {
-        return print_json("injection report", &report) & campaign_ok("inject", &report.anomalies);
+        return print_json(&format!("{what} report"), &report)
+            & campaign_ok(what, &report.anomalies());
     }
     print!("{report}");
-    campaign_ok("inject", &report.anomalies)
-}
-
-/// The traffic campaign: open-loop request streams through every
-/// injection plan x strategy x application, reported as availability,
-/// goodput, and tail latency per (fault class, strategy) cell, plus the
-/// recovery matrix extended with the SLO-miss column family. Exits
-/// non-zero if the class contract is violated or unchecked.
-fn traffic(opts: &Options) -> bool {
-    let spec = TrafficSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
-    let report = TrafficReport::run_with(spec, opts.parallel);
-    if opts.json {
-        return print_json("traffic report", &report) & campaign_ok("traffic", &report.anomalies());
+    if let Some(render) = matrix_family {
+        print!("{}", render(&RecoveryMatrix::run(opts.seed), &report));
     }
-    print!("{report}");
-    let matrix = RecoveryMatrix::run(opts.seed);
-    print!("{}", matrix.render_with_slo(&report));
-    campaign_ok("traffic", &report.anomalies())
-}
-
-/// The microreboot campaign: the same open-loop traffic served under
-/// whole-process restart and under crash-only component microreboot,
-/// reported per (fault class, mode) cell with time-to-recovery, plus the
-/// recovery matrix extended with the comparison column families. Exits
-/// non-zero if the class contract is violated or unchecked.
-fn micro(opts: &Options) -> bool {
-    let spec = MicroSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
-    let report = MicroReport::run_with(spec, opts.parallel);
-    if opts.json {
-        return print_json("micro report", &report) & campaign_ok("micro", &report.anomalies());
-    }
-    print!("{report}");
-    let matrix = RecoveryMatrix::run(opts.seed);
-    print!("{}", matrix.render_with_micro(&report));
-    campaign_ok("micro", &report.anomalies())
-}
-
-/// The graph campaign: the three applications wired into a service graph
-/// (clients → miniweb → minidb, minide as operator console), the
-/// twelve-kind IPC fault corpus injected on the wire, and per-channel
-/// recovery raced against process supervision across a retry-budget
-/// sweep — reported per (fault class, plane, budget) cell with cascade
-/// and amplification accounting, plus the recovery matrix extended with
-/// the distributed comparison. Exits non-zero if the wire-level class
-/// contract is violated or unchecked.
-fn graph(opts: &Options) -> bool {
-    let spec = GraphSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
-    let report = GraphReport::run_with(spec, opts.parallel);
-    if opts.json {
-        return print_json("graph report", &report) & campaign_ok("graph", &report.anomalies());
-    }
-    print!("{report}");
-    let matrix = RecoveryMatrix::run(opts.seed);
-    print!("{}", matrix.render_with_graph(&report));
-    campaign_ok("graph", &report.anomalies())
-}
-
-/// The oblivious-recovery campaign: the same open-loop traffic served
-/// under restart, failure-oblivious discard, manufactured defaults,
-/// in-place state scrubbing, and the profile-guided healer — priced by
-/// each application's correctness oracle — plus the recovery matrix
-/// extended with the availability and wrong-answer column families.
-/// Exits non-zero if the class contract is violated or unchecked.
-fn oblivious(opts: &Options) -> bool {
-    let spec = ObliviousSpec { seed: opts.seed, requests: opts.requests, arrival: opts.arrival };
-    let report = ObliviousReport::run_with(spec, opts.parallel);
-    if opts.json {
-        return print_json("oblivious report", &report)
-            & campaign_ok("oblivious", &report.anomalies);
-    }
-    print!("{report}");
-    let matrix = RecoveryMatrix::run(opts.seed);
-    print!("{}", matrix.render_with_oracle(&report));
-    campaign_ok("oblivious", &report.anomalies)
+    campaign_ok(what, &report.anomalies())
 }
 
 fn lee_iyer(opts: &Options) -> bool {

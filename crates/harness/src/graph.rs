@@ -14,21 +14,22 @@
 //! downstream-amplification ratio (db requests actually served per db
 //! request a client chain first demanded).
 //!
-//! Determinism: unit seeds come from the batched `split_seed` stream,
-//! per-unit arrival/session/recovery seeds derive per unit, and units
-//! fold in index order through [`run_chunk_fold`] — reports and
-//! registries are byte-identical at any thread count and chunk size.
+//! Units run on the shared [`driver`](crate::driver).
 
+use crate::driver::{
+    self, fold_stats, ledger_names, ledger_stats, ms, CampaignPlane, Headline, OpenLoopPlane,
+    OpenLoopSpec, Unit,
+};
 use crate::experiment::standard_env;
 use faultstudy_core::taxonomy::FaultClass;
-use faultstudy_exec::{run_chunk_fold, ParallelSpec};
+use faultstudy_exec::ParallelSpec;
 use faultstudy_graph::{
     graph_plans, run_graph, ChannelFaultKind, GraphFaultPlan, GraphUnitStats, PlaneKind,
     ServiceGraph,
 };
 use faultstudy_obs::{Histogram, MetricsRegistry};
-use faultstudy_sim::rng::{split_seed, SplitSeedStream};
-use faultstudy_traffic::{ArrivalKind, TrafficParams, UnitStats};
+use faultstudy_sim::rng::split_seed;
+use faultstudy_traffic::{TrafficParams, UnitStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -38,22 +39,7 @@ use std::fmt;
 pub const GRAPH_BUDGETS: [u32; 3] = [0, 1, 3];
 
 /// Configuration of a graph campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GraphSpec {
-    /// Master seed; the campaign is a pure function of it.
-    pub seed: u64,
-    /// Total requests offered across the whole campaign, spread evenly
-    /// over the units (earlier units absorb the remainder).
-    pub requests: u64,
-    /// Arrival-process family for every unit.
-    pub arrival: ArrivalKind,
-}
-
-impl Default for GraphSpec {
-    fn default() -> Self {
-        GraphSpec { seed: 1, requests: 21_600, arrival: ArrivalKind::Poisson }
-    }
-}
+pub type GraphSpec = OpenLoopSpec;
 
 /// One `(fault kind, plane, budget)` unit of the campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,167 +69,125 @@ pub struct GraphReport {
     pub cells: Vec<GraphCell>,
 }
 
-/// Units per campaign: every fault kind × plane × retry budget.
-fn unit_count(plans: usize) -> usize {
-    plans * PlaneKind::ALL.len() * GRAPH_BUDGETS.len()
-}
+impl CampaignPlane for GraphReport {
+    type Spec = GraphSpec;
+    type Plan = GraphFaultPlan;
+    type Cell = GraphCell;
 
-/// One campaign unit: fresh environment, a fresh three-tier graph, the
-/// kind's fault plan firing on the wire, and an open-loop request stream
-/// served through multi-hop chains under the unit's recovery plane.
-fn run_unit(
-    plan: &GraphFaultPlan,
-    plane: PlaneKind,
-    budget: u32,
-    requests: u64,
-    arrival: ArrivalKind,
-    unit_seed: u64,
-    instrumented: bool,
-) -> (GraphCell, Option<MetricsRegistry>) {
-    let mut env = standard_env(unit_seed, instrumented);
-    let mut graph = ServiceGraph::new(&mut env);
-    let params = TrafficParams::standard(arrival, requests);
-    let stats = run_graph(
-        &mut env,
-        &mut graph,
-        plan,
-        plane,
-        budget,
-        &params,
-        split_seed(unit_seed, 1),
-        split_seed(unit_seed, 2),
-        split_seed(unit_seed, 3),
-    );
-    let fired =
-        stats.edges.client_web.faults + stats.edges.web_db.faults + stats.edges.ide_web.faults;
-    let cell = GraphCell {
-        plan: plan.name.clone(),
-        class: plan.class,
-        kind: plan.kind,
-        plane,
-        budget,
-        fired,
-        stats,
-    };
-    let metrics = (instrumented).then(|| env.metrics.take().expect("metrics were enabled"));
-    (cell, metrics.filter(|reg| !reg.is_empty()))
-}
+    /// Recovery plane × retry budget.
+    const AXES: [usize; 2] = [PlaneKind::ALL.len(), GRAPH_BUDGETS.len()];
 
-/// Ledgers a finished unit into the campaign registry under its
-/// `<class>/<plane>/b<budget>` cell label.
-fn ledger_unit(registry: &mut MetricsRegistry, cell: &GraphCell) {
-    let label = format!("{}/{}/b{}", cell.class.short(), cell.plane.name(), cell.budget);
-    let s = &cell.stats;
-    registry.incr("graph.offered", &label, s.base.offered);
-    registry.incr("graph.ok", &label, s.base.ok);
-    registry.incr("graph.denied", &label, s.base.denied);
-    registry.incr("graph.dropped", &label, s.base.dropped);
-    registry.incr("graph.slo.violations", &label, s.base.slo_violations);
-    registry.incr("graph.sim_nanos", &label, s.base.sim_nanos);
-    registry.incr("graph.db.first", &label, s.db_first);
-    registry.incr("graph.db.seen", &label, s.db_seen);
-    registry.incr("graph.channel.recoveries", &label, s.channel_recoveries);
-    registry.incr("graph.node.restarts", &label, s.node_restarts);
-    registry.incr(
-        "graph.edge.lost",
-        &label,
-        s.edges.client_web.lost + s.edges.web_db.lost + s.edges.ide_web.lost,
-    );
-    registry.incr(
-        "graph.edge.resets",
-        &label,
-        s.edges.client_web.resets + s.edges.web_db.resets + s.edges.ide_web.resets,
-    );
-    registry.merge_histogram("graph.latency", &label, s.base.latency.clone());
-    registry.merge_histogram("graph.ttr.class", &label, s.ttr.clone());
-    registry.merge_histogram("graph.cascade.depth", &label, s.cascade_depth.clone());
-}
-
-impl GraphReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: GraphSpec) -> GraphReport {
-        Self::run_with(spec, ParallelSpec::default())
+    fn plans(spec: &GraphSpec) -> Vec<GraphFaultPlan> {
+        graph_plans(spec.seed)
     }
 
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: GraphSpec, parallel: ParallelSpec) -> GraphReport {
-        Self::run_units(spec, parallel, false).0
+    /// A fresh environment, a fresh three-tier graph, the kind's fault
+    /// plan firing on the wire, and an open-loop request stream served
+    /// through multi-hop chains under the unit's recovery plane.
+    fn run_unit(
+        spec: &GraphSpec,
+        unit: Unit<'_, GraphFaultPlan>,
+    ) -> (GraphCell, Option<MetricsRegistry>) {
+        let plane = PlaneKind::ALL[unit.axes[0]];
+        let budget = GRAPH_BUDGETS[unit.axes[1]];
+        let mut env = standard_env(unit.seed, unit.instrumented);
+        let mut graph = ServiceGraph::new(&mut env);
+        let params = TrafficParams::standard(spec.arrival, unit.requests);
+        let stats = run_graph(
+            &mut env,
+            &mut graph,
+            unit.plan,
+            plane,
+            budget,
+            &params,
+            split_seed(unit.seed, 1),
+            split_seed(unit.seed, 2),
+            split_seed(unit.seed, 3),
+        );
+        let fired =
+            stats.edges.client_web.faults + stats.edges.web_db.faults + stats.edges.ide_web.faults;
+        let cell = GraphCell {
+            plan: unit.plan.name.clone(),
+            class: unit.plan.class,
+            kind: unit.plan.kind,
+            plane,
+            budget,
+            fired,
+            stats,
+        };
+        let metrics = unit.instrumented.then(|| env.metrics.take().expect("metrics were enabled"));
+        (cell, metrics.filter(|reg| !reg.is_empty()))
     }
 
-    /// Runs the campaign with per-unit metrics enabled, returning the
-    /// merged registry alongside the (unchanged) report.
-    ///
-    /// The registry carries the per-cell request ledgers
-    /// (`graph.offered`, `graph.ok`, `graph.denied`, `graph.dropped`,
-    /// `graph.slo.violations`, `graph.sim_nanos`), the distributed cost
-    /// counters (`graph.db.first`, `graph.db.seen`,
-    /// `graph.channel.recoveries`, `graph.node.restarts`,
+    /// Per-cell request ledgers, distributed cost counters and histograms
+    /// under the `<class>/<plane>/b<budget>` label.
+    fn ledger(registry: &mut MetricsRegistry, cell: &GraphCell) {
+        let label = format!("{}/{}/b{}", cell.class.short(), cell.plane.name(), cell.budget);
+        let s = &cell.stats;
+        let edges = [&s.edges.client_web, &s.edges.web_db, &s.edges.ide_web];
+        ledger_stats(registry, ledger_names!("graph"), &label, &s.base);
+        registry.incr("graph.db.first", &label, s.db_first);
+        registry.incr("graph.db.seen", &label, s.db_seen);
+        registry.incr("graph.channel.recoveries", &label, s.channel_recoveries);
+        registry.incr("graph.node.restarts", &label, s.node_restarts);
+        registry.incr("graph.edge.lost", &label, edges.iter().map(|e| e.lost).sum());
+        registry.incr("graph.edge.resets", &label, edges.iter().map(|e| e.resets).sum());
+        registry.merge_histogram("graph.ttr.class", &label, s.ttr.clone());
+        registry.merge_histogram("graph.cascade.depth", &label, s.cascade_depth.clone());
+    }
+
+    fn assemble(spec: GraphSpec, cells: Vec<GraphCell>) -> Self {
+        GraphReport { spec, cells }
+    }
+
+    fn anomalies(&self) -> Vec<String> {
+        GraphReport::anomalies(self)
+    }
+}
+
+impl OpenLoopPlane for GraphReport {
+    /// How much faster per-channel recovery clears a sticky wedge than
+    /// process supervision, and how hard the full retry budget re-drives
+    /// the db tier.
+    fn headline(&self) -> Headline {
+        let full = *GRAPH_BUDGETS.last().expect("sweep is nonempty");
+        let edn = FaultClass::EnvDependentNonTransient;
+        let channel_p50 = self.class_ttr(edn, PlaneKind::Channel, full).p50().unwrap_or(0);
+        let process_p50 = self.class_ttr(edn, PlaneKind::Process, full).p50().unwrap_or(0);
+        let ttr_ratio = if channel_p50 > 0 { process_p50 as f64 / channel_p50 as f64 } else { 0.0 };
+        let amplification = self.max_amplification(full);
+        let t = self.graph_totals();
+        Headline {
+            section: "comparison",
+            summary: serde_json::json!({
+                "sticky_ttr_p50_process_ns": process_p50,
+                "sticky_ttr_p50_channel_ns": channel_p50,
+                "ttr_ratio_process_over_channel": ttr_ratio,
+                "max_amplification": amplification,
+                "offered": t.base.offered,
+                "availability_pct": 100.0 * t.base.availability(),
+                "dropped": t.base.dropped,
+                "channel_recoveries": t.channel_recoveries,
+                "node_restarts": t.node_restarts,
+            }),
+            tracked: &["ttr_ratio_process_over_channel", "max_amplification"],
+        }
+    }
+}
+
+driver::entry_points! {
+    /// The registry carries the per-cell request ledgers (`graph.offered`,
+    /// `graph.ok`, `graph.denied`, `graph.dropped`, `graph.slo.violations`,
+    /// `graph.sim_nanos`), the distributed cost counters (`graph.db.first`,
+    /// `graph.db.seen`, `graph.channel.recoveries`, `graph.node.restarts`,
     /// `graph.edge.lost`, `graph.edge.resets`), the merged per-cell
     /// histograms (`graph.latency`, `graph.ttr.class`,
     /// `graph.cascade.depth`), and everything the units' environments
-    /// recorded. Registries merge in unit-index order, so the result is
-    /// byte-identical at any thread count.
-    pub fn run_instrumented(
-        spec: GraphSpec,
-        parallel: ParallelSpec,
-    ) -> (GraphReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
-    }
+    /// recorded.
+    GraphReport(GraphSpec)
+}
 
-    fn run_units(
-        spec: GraphSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (GraphReport, MetricsRegistry) {
-        struct Acc {
-            cells: Vec<GraphCell>,
-            registry: MetricsRegistry,
-        }
-        let plans = graph_plans(spec.seed);
-        let units = unit_count(plans.len());
-        let per_plane = GRAPH_BUDGETS.len();
-        let per_plan = PlaneKind::ALL.len() * per_plane;
-        let base_requests = spec.requests / units as u64;
-        let remainder = spec.requests % units as u64;
-        let acc = run_chunk_fold(
-            units,
-            parallel,
-            || Acc { cells: Vec::new(), registry: MetricsRegistry::new() },
-            |range, acc: &mut Acc| {
-                // One batched seed stream per chunk: the worker derives
-                // consecutive unit seeds without per-unit rederivation.
-                let mut seeds = SplitSeedStream::new(spec.seed, range.start as u64);
-                for index in range {
-                    let plan = &plans[index / per_plan];
-                    let plane = PlaneKind::ALL[(index % per_plan) / per_plane];
-                    let budget = GRAPH_BUDGETS[index % per_plane];
-                    let requests = base_requests + u64::from((index as u64) < remainder);
-                    let (cell, metrics) = run_unit(
-                        plan,
-                        plane,
-                        budget,
-                        requests,
-                        spec.arrival,
-                        seeds.next_seed(),
-                        instrumented,
-                    );
-                    if let Some(reg) = &metrics {
-                        acc.registry.merge_from(reg);
-                    }
-                    if instrumented {
-                        ledger_unit(&mut acc.registry, &cell);
-                    }
-                    acc.cells.push(cell);
-                }
-            },
-            |acc, later| {
-                acc.cells.extend(later.cells);
-                acc.registry.merge_from(&later.registry);
-            },
-        );
-        (GraphReport { spec, cells: acc.cells }, acc.registry)
-    }
-
+impl GraphReport {
     /// The unit for `(kind, plane, budget)`, if it exists.
     pub fn cell(
         &self,
@@ -277,13 +221,6 @@ impl GraphReport {
         self.class_graph(class, plane, budget).ttr
     }
 
-    /// The merged cascade-depth histogram of `(class, plane, budget)`:
-    /// depth 1 = salvaged inside the chain, 2 = client retried,
-    /// 3 = user-visible drop.
-    pub fn class_cascade(&self, class: FaultClass, plane: PlaneKind, budget: u32) -> Histogram {
-        self.class_graph(class, plane, budget).cascade_depth
-    }
-
     /// The largest per-cell downstream-amplification ratio at `budget` —
     /// db requests served per db request the chains first demanded.
     pub fn max_amplification(&self, budget: u32) -> f64 {
@@ -296,11 +233,7 @@ impl GraphReport {
 
     /// The folded SLO ledger of the whole campaign.
     pub fn totals(&self) -> UnitStats {
-        let mut total = UnitStats::default();
-        for cell in &self.cells {
-            total.absorb(&cell.stats.base);
-        }
-        total
+        fold_stats(self.cells.iter().map(|c| &c.stats.base))
     }
 
     /// The folded graph ledger of the whole campaign.
@@ -315,11 +248,7 @@ impl GraphReport {
     /// Fraction of offered requests in `(class, plane, budget)` that
     /// missed the SLO — violations plus drops over offered, in [0, 1].
     pub fn slo_miss_rate(&self, class: FaultClass, plane: PlaneKind, budget: u32) -> f64 {
-        let stats = self.class_stats(class, plane, budget);
-        if stats.offered == 0 {
-            return 0.0;
-        }
-        (stats.slo_violations + stats.dropped) as f64 / stats.offered as f64
+        self.class_stats(class, plane, budget).slo_miss_rate()
     }
 
     /// Violations of the campaign's class contracts — the distributed
@@ -391,21 +320,9 @@ impl GraphReport {
     }
 }
 
-/// Nanoseconds rendered as fractional milliseconds for the tables.
-fn ms(nanos: Option<u64>) -> f64 {
-    nanos.unwrap_or(0) as f64 / 1e6
-}
-
 impl fmt::Display for GraphReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Graph campaign: {} requests offered over {} units ({} arrivals, seed {})",
-            self.spec.requests,
-            self.cells.len(),
-            self.spec.arrival.name(),
-            self.spec.seed
-        )?;
+        driver::write_title(f, "Graph", &self.spec, self.cells.len())?;
         writeln!(
             f,
             "  {:<12} {:<8} {:>3} {:>8} {:>7} {:>8} {:>11} {:>6} {:>7}",
@@ -435,15 +352,7 @@ impl fmt::Display for GraphReport {
             }
         }
         let t = self.graph_totals();
-        writeln!(
-            f,
-            "  total: {} offered, {} answered ({:.2}%), {} dropped, {} SLO violations",
-            t.base.offered,
-            t.base.answered(),
-            100.0 * t.base.availability(),
-            t.base.dropped,
-            t.base.slo_violations
-        )?;
+        driver::write_total(f, &t.base, true)?;
         writeln!(
             f,
             "  cascade: {} faulted chains (depth p50 {} max {}), {} channel resets, {} node \
@@ -456,18 +365,15 @@ impl fmt::Display for GraphReport {
             self.max_amplification(*GRAPH_BUDGETS.last().expect("sweep is nonempty")),
             GRAPH_BUDGETS.last().expect("sweep is nonempty"),
         )?;
-        let anomalies = self.anomalies();
-        if anomalies.is_empty() {
-            writeln!(f, "  no anomalies: both planes matched the wire-level class contract")
-        } else {
-            writeln!(f, "  ANOMALIES: {anomalies:?}")
-        }
+        let clean = "both planes matched the wire-level class contract";
+        driver::write_verdict(f, &self.anomalies(), clean)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faultstudy_traffic::ArrivalKind;
 
     fn small_spec(seed: u64) -> GraphSpec {
         // 3600 / 72 units = 50 requests per unit, exactly.
@@ -504,14 +410,7 @@ mod tests {
 
     #[test]
     fn reports_are_reproducible_and_thread_invariant() {
-        let spec = small_spec(7);
-        let reference = GraphReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let report = GraphReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
-        let chunked = GraphReport::run_with(spec, ParallelSpec::threads(2).with_chunk(7));
-        assert_eq!(chunked, reference);
+        driver::tests::assert_thread_invariant::<GraphReport>(small_spec(7), false);
     }
 
     #[test]
@@ -572,15 +471,7 @@ mod tests {
 
     #[test]
     fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = small_spec(2);
-        let (ref_report, ref_registry) =
-            GraphReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let (report, registry) =
-                GraphReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
+        driver::tests::assert_thread_invariant::<GraphReport>(small_spec(2), true);
     }
 
     #[test]

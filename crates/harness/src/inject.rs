@@ -16,19 +16,17 @@
 //! - the **environment-independent** control survives nothing, scrub or
 //!   not.
 //!
-//! Determinism: plans are a pure function of the master seed, each unit's
-//! environment and backoff seeds come from `split_seed(seed, index)`, and
-//! aggregation folds units in index order — the report is byte-identical
-//! at any thread count.
+//! Units run on the shared [`driver`](crate::driver).
 
+use crate::driver::{self, CampaignPlane, RunSpec, Unit};
 use crate::experiment::{standard_env, StrategyKind};
 use faultstudy_apps::{Application, MiniWeb};
 use faultstudy_core::taxonomy::FaultClass;
-use faultstudy_exec::{run_chunk_fold, ParallelSpec};
+use faultstudy_exec::ParallelSpec;
 use faultstudy_inject::{standard_plans, InjectionPlan, Injector};
 use faultstudy_obs::MetricsRegistry;
 use faultstudy_recovery::{run_workload_supervised, BackoffPolicy, SupervisorConfig};
-use faultstudy_sim::rng::{split_seed, SplitSeedStream};
+use faultstudy_sim::rng::split_seed;
 use faultstudy_sim::time::Duration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -43,6 +41,17 @@ pub struct InjectSpec {
 impl Default for InjectSpec {
     fn default() -> Self {
         InjectSpec { seed: 1 }
+    }
+}
+
+impl RunSpec for InjectSpec {
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Every unit drives the same fixed nine-request workload.
+    fn requests(&self) -> u64 {
+        0
     }
 }
 
@@ -111,58 +120,6 @@ fn unit_config(scrub: bool, backoff_seed: u64) -> SupervisorConfig {
     }
 }
 
-/// One campaign unit: arm the plan's companion defect in a fresh MiniWeb,
-/// replay the plan through the supervisor's pre-attempt hook, and drive
-/// the triggering workload.
-fn run_unit(
-    plan: &InjectionPlan,
-    strategy: StrategyKind,
-    scrub: bool,
-    unit_seed: u64,
-    instrumented: bool,
-) -> (InjectCell, Option<MetricsRegistry>) {
-    let mut env = standard_env(unit_seed, instrumented);
-    let mut app = MiniWeb::new(&mut env);
-    app.arm_defect(&plan.companion_defect).expect("every plan's companion defect arms in MiniWeb");
-    let benign = app.benign_request();
-    let trigger = app
-        .trigger_request(&plan.companion_defect)
-        .expect("every companion defect has a triggering request");
-    // Four benign requests consume the plan's schedule window, three
-    // triggers meet the armed defect in the perturbed environment, two
-    // trailing benigns prove continued service.
-    let mut workload = vec![benign.clone(); 4];
-    workload.extend(std::iter::repeat_n(trigger, 3));
-    workload.extend([benign.clone(), benign]);
-    let mut injector = Injector::new(plan, &mut env);
-    let mut strat = strategy.build();
-    let config = unit_config(scrub, split_seed(unit_seed, 1));
-    let sup = run_workload_supervised(
-        &mut app,
-        &mut env,
-        &workload,
-        strat.as_mut(),
-        &config,
-        Some(&mut injector),
-    );
-    let cell = InjectCell {
-        plan: plan.name.clone(),
-        class: plan.class,
-        strategy,
-        scrub,
-        survived: sup.run.survived,
-        failures: sup.run.failures,
-        recoveries: sup.run.recoveries,
-        injected: injector.applied(),
-        watchdog_fires: sup.watchdog_fires,
-        breaker_trips: sup.breaker_trips,
-        scrubs: sup.scrubs,
-        shed: sup.shed,
-    };
-    let metrics = instrumented.then(|| env.metrics.take().expect("metrics were enabled"));
-    (cell, metrics.filter(|reg| !reg.is_empty()))
-}
-
 /// The class contract a unit may violate.
 fn contract_violation(cell: &InjectCell) -> Option<String> {
     let violates = cell.survived
@@ -180,86 +137,101 @@ fn contract_violation(cell: &InjectCell) -> Option<String> {
     })
 }
 
-impl InjectReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: InjectSpec) -> InjectReport {
-        Self::run_with(spec, ParallelSpec::default())
+impl CampaignPlane for InjectReport {
+    type Spec = InjectSpec;
+    type Plan = InjectionPlan;
+    type Cell = InjectCell;
+
+    /// Strategy × scrub off/on.
+    const AXES: [usize; 2] = [StrategyKind::ALL.len(), 2];
+
+    fn plans(spec: &InjectSpec) -> Vec<InjectionPlan> {
+        standard_plans(spec.seed)
     }
 
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: InjectSpec, parallel: ParallelSpec) -> InjectReport {
-        Self::run_units(spec, parallel, false).0
+    /// Arms the plan's companion defect in a fresh MiniWeb, replays the
+    /// plan through the supervisor's pre-attempt hook, and drives the
+    /// triggering workload.
+    fn run_unit(
+        _: &InjectSpec,
+        unit: Unit<'_, InjectionPlan>,
+    ) -> (InjectCell, Option<MetricsRegistry>) {
+        let plan = unit.plan;
+        let strategy = StrategyKind::ALL[unit.axes[0]];
+        let scrub = unit.axes[1] == 1;
+        let mut env = standard_env(unit.seed, unit.instrumented);
+        let mut app = MiniWeb::new(&mut env);
+        app.arm_defect(&plan.companion_defect)
+            .expect("every plan's companion defect arms in MiniWeb");
+        let benign = app.benign_request();
+        let trigger = app
+            .trigger_request(&plan.companion_defect)
+            .expect("every companion defect has a triggering request");
+        // Four benign requests consume the plan's schedule window, three
+        // triggers meet the armed defect in the perturbed environment, two
+        // trailing benigns prove continued service.
+        let mut workload = vec![benign.clone(); 4];
+        workload.extend(std::iter::repeat_n(trigger, 3));
+        workload.extend([benign.clone(), benign]);
+        let mut injector = Injector::new(plan, &mut env);
+        let mut strat = strategy.build();
+        let config = unit_config(scrub, split_seed(unit.seed, 1));
+        let sup = run_workload_supervised(
+            &mut app,
+            &mut env,
+            &workload,
+            strat.as_mut(),
+            &config,
+            Some(&mut injector),
+        );
+        let cell = InjectCell {
+            plan: plan.name.clone(),
+            class: plan.class,
+            strategy,
+            scrub,
+            survived: sup.run.survived,
+            failures: sup.run.failures,
+            recoveries: sup.run.recoveries,
+            injected: injector.applied(),
+            watchdog_fires: sup.watchdog_fires,
+            breaker_trips: sup.breaker_trips,
+            scrubs: sup.scrubs,
+            shed: sup.shed,
+        };
+        let metrics = unit.instrumented.then(|| env.metrics.take().expect("metrics were enabled"));
+        (cell, metrics.filter(|reg| !reg.is_empty()))
     }
 
-    /// Runs the campaign with per-unit metrics enabled, returning the
-    /// merged registry alongside the (unchanged) report.
-    ///
+    /// Units and survivals per strategy.
+    fn ledger(registry: &mut MetricsRegistry, cell: &InjectCell) {
+        registry.incr("inject.units", cell.strategy.name(), 1);
+        if cell.survived {
+            registry.incr("inject.survived", cell.strategy.name(), 1);
+        }
+    }
+
+    /// Each unit's contract is checked on the folded cells, in index
+    /// order, so the anomaly list is thread-invariant.
+    fn assemble(spec: InjectSpec, cells: Vec<InjectCell>) -> Self {
+        let anomalies = cells.iter().filter_map(contract_violation).collect();
+        InjectReport { spec, cells, anomalies }
+    }
+
+    fn anomalies(&self) -> Vec<String> {
+        self.anomalies.clone()
+    }
+}
+
+driver::entry_points! {
     /// The registry carries the supervisor's hardening counters
     /// (`supervisor.watchdog`, `supervisor.breaker.trips`,
     /// `supervisor.scrubs`, `supervisor.backoff`), the injector's
-    /// `inject.applied` event counts, and the usual recovery histograms.
-    /// Per-unit registries merge in index order, so the result is
-    /// byte-identical at any thread count.
-    pub fn run_instrumented(
-        spec: InjectSpec,
-        parallel: ParallelSpec,
-    ) -> (InjectReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
-    }
+    /// `inject.applied` event counts, per-strategy `inject.units` and
+    /// `inject.survived`, and the usual recovery histograms.
+    InjectReport(InjectSpec)
+}
 
-    fn run_units(
-        spec: InjectSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (InjectReport, MetricsRegistry) {
-        struct Acc {
-            cells: Vec<InjectCell>,
-            anomalies: Vec<String>,
-            registry: MetricsRegistry,
-        }
-        let plans = standard_plans(spec.seed);
-        let per_plan = StrategyKind::ALL.len() * 2;
-        // Each worker folds its index-partition straight into a partial
-        // report; partials concatenate in chunk (= index) order, so no
-        // intermediate per-unit vector is ever materialized.
-        let acc = run_chunk_fold(
-            plans.len() * per_plan,
-            parallel,
-            || Acc { cells: Vec::new(), anomalies: Vec::new(), registry: MetricsRegistry::new() },
-            |range, acc: &mut Acc| {
-                // One batched seed stream per chunk instead of a fresh
-                // `split_seed` derivation per unit; the stream yields the
-                // same `split_seed(seed, index)` values, so reports are
-                // unchanged.
-                let mut seeds = SplitSeedStream::new(spec.seed, range.start as u64);
-                for index in range {
-                    let plan = &plans[index / per_plan];
-                    let strategy = StrategyKind::ALL[(index % per_plan) / 2];
-                    let scrub = index % 2 == 1;
-                    let (cell, metrics) =
-                        run_unit(plan, strategy, scrub, seeds.next_seed(), instrumented);
-                    acc.anomalies.extend(contract_violation(&cell));
-                    if let Some(reg) = &metrics {
-                        acc.registry.merge_from(reg);
-                    }
-                    if instrumented {
-                        acc.registry.incr("inject.units", cell.strategy.name(), 1);
-                        if cell.survived {
-                            acc.registry.incr("inject.survived", cell.strategy.name(), 1);
-                        }
-                    }
-                    acc.cells.push(cell);
-                }
-            },
-            |acc, later| {
-                acc.cells.extend(later.cells);
-                acc.anomalies.extend(later.anomalies);
-                acc.registry.merge_from(&later.registry);
-            },
-        );
-        (InjectReport { spec, cells: acc.cells, anomalies: acc.anomalies }, acc.registry)
-    }
-
+impl InjectReport {
     /// The unit for `(plan, strategy, scrub)`, if the plan exists.
     pub fn cell(&self, plan: &str, strategy: StrategyKind, scrub: bool) -> Option<&InjectCell> {
         self.cells.iter().find(|c| c.plan == plan && c.strategy == strategy && c.scrub == scrub)
@@ -297,13 +269,9 @@ impl InjectReport {
 
 impl fmt::Display for InjectReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let plans = self.cells.iter().map(|c| c.plan.as_str()).collect::<Vec<_>>();
-        let mut seen: Vec<&str> = Vec::new();
-        for p in plans {
-            if !seen.contains(&p) {
-                seen.push(p);
-            }
-        }
+        // Cells run plan-major, so each plan's units are adjacent.
+        let mut seen: Vec<&str> = self.cells.iter().map(|c| c.plan.as_str()).collect();
+        seen.dedup();
         writeln!(
             f,
             "Injection campaign: {} plans x {} strategies x scrub off/on, master seed {}",
@@ -407,12 +375,7 @@ mod tests {
 
     #[test]
     fn campaigns_are_reproducible_and_thread_invariant() {
-        let spec = InjectSpec { seed: 7 };
-        let reference = InjectReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 8] {
-            let report = InjectReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
+        driver::tests::assert_thread_invariant::<InjectReport>(InjectSpec { seed: 7 }, false);
     }
 
     #[test]
@@ -437,15 +400,7 @@ mod tests {
 
     #[test]
     fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = InjectSpec { seed: 3 };
-        let (ref_report, ref_registry) =
-            InjectReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 8] {
-            let (report, registry) =
-                InjectReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
+        driver::tests::assert_thread_invariant::<InjectReport>(InjectSpec { seed: 3 }, true);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! # Modules
 //!
 //! - [`experiment`] — one fault × one strategy → one [`FaultOutcome`].
+//! - [`driver`] — the one unit loop every campaign plane runs on.
 //! - [`ablation`] — parameter sweeps over the recovery designs (E11–E13).
 //! - [`matrix`] — the full corpus × strategy survival matrix.
 //! - [`funnel`] — the §4 selection funnels at paper scale.
@@ -41,6 +42,7 @@
 
 pub mod ablation;
 pub mod campaign;
+pub mod driver;
 pub mod experiment;
 pub mod expreport;
 pub mod funnel;
@@ -53,6 +55,7 @@ pub mod traffic;
 pub mod workload;
 
 pub use campaign::{CampaignReport, CampaignSpec};
+pub use driver::{CampaignPlane, OpenLoopPlane, OpenLoopSpec};
 pub use experiment::{
     run_fault_experiment, run_fault_experiment_instrumented, FaultOutcome, StrategyKind,
 };

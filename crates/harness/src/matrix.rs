@@ -15,6 +15,7 @@ use faultstudy_corpus::full_corpus;
 use faultstudy_exec::{run_chunk_fold, ParallelSpec};
 use faultstudy_obs::MetricsRegistry;
 use faultstudy_sim::time::Duration;
+use faultstudy_traffic::UnitStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -214,34 +215,26 @@ impl RecoveryMatrix {
             "strategy", "n", "p50", "p90", "p99", "p999", "max"
         );
         for strategy in StrategyKind::ALL {
-            match registry.histogram("recovery.ttr", strategy.name()) {
+            let row = match registry.histogram("recovery.ttr", strategy.name()) {
                 Some(h) if h.count() > 0 => {
-                    let _ = writeln!(
-                        out,
-                        "{:<22} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                        strategy.name(),
-                        h.count(),
-                        Duration::from_nanos(h.p50().expect("nonempty")).to_string(),
-                        Duration::from_nanos(h.p90().expect("nonempty")).to_string(),
-                        Duration::from_nanos(h.p99().expect("nonempty")).to_string(),
-                        Duration::from_nanos(h.p999().expect("nonempty")).to_string(),
-                        Duration::from_nanos(h.max().expect("nonempty")).to_string(),
-                    );
+                    let at = |nanos: Option<u64>| duration(nanos).expect("nonempty");
+                    [
+                        h.count().to_string(),
+                        at(h.p50()),
+                        at(h.p90()),
+                        at(h.p99()),
+                        at(h.p999()),
+                        at(h.max()),
+                    ]
                 }
-                _ => {
-                    let _ = writeln!(
-                        out,
-                        "{:<22} {:>6} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                        strategy.name(),
-                        0,
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        "-"
-                    );
-                }
-            }
+                _ => ["0", "-", "-", "-", "-", "-"].map(str::to_owned),
+            };
+            let [n, p50, p90, p99, p999, max] = row;
+            let _ = writeln!(
+                out,
+                "{:<22} {n:>6} {p50:>10} {p90:>10} {p99:>10} {p999:>10} {max:>10}",
+                strategy.name()
+            );
         }
         out
     }
@@ -261,42 +254,13 @@ impl RecoveryMatrix {
             "microreboot vs whole-process restart (open-loop traffic, {} requests):",
             micro.spec.requests
         );
-        let _ = write!(out, "{:<22}", "availability");
-        for class in FaultClass::ALL {
-            let _ = write!(out, " {:>14}", class.short());
-        }
-        let _ = writeln!(out);
-        for mode in RecoveryMode::ALL {
-            let _ = write!(out, "{:<22}", mode.name());
-            for class in FaultClass::ALL {
-                let stats = micro.class_stats(class, mode);
-                if stats.offered == 0 {
-                    let _ = write!(out, " {:>14}", "-");
-                } else {
-                    let _ = write!(out, " {:>14}", format!("{:.2}%", 100.0 * stats.availability()));
-                }
-            }
-            let _ = writeln!(out);
-        }
-        let _ = write!(out, "{:<22}", "ttr p50");
-        for class in FaultClass::ALL {
-            let _ = write!(out, " {:>14}", class.short());
-        }
-        let _ = writeln!(out);
-        for mode in RecoveryMode::ALL {
-            let _ = write!(out, "{:<22}", mode.name());
-            for class in FaultClass::ALL {
-                match micro.class_ttr(class, mode).p50() {
-                    Some(nanos) => {
-                        let _ = write!(out, " {:>14}", Duration::from_nanos(nanos).to_string());
-                    }
-                    None => {
-                        let _ = write!(out, " {:>14}", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
+        let modes = &RecoveryMode::ALL;
+        class_columns(&mut out, "availability", modes, RecoveryMode::name, |mode, class| {
+            availability(&micro.class_stats(class, mode))
+        });
+        class_columns(&mut out, "ttr p50", modes, RecoveryMode::name, |mode, class| {
+            duration(micro.class_ttr(class, mode).p50())
+        });
         out
     }
 
@@ -318,42 +282,13 @@ impl RecoveryMatrix {
             "per-channel recovery vs process supervision (service graph, {} requests, budget {}):",
             graph.spec.requests, full
         );
-        let _ = write!(out, "{:<22}", "availability");
-        for class in FaultClass::ALL {
-            let _ = write!(out, " {:>14}", class.short());
-        }
-        let _ = writeln!(out);
-        for plane in PlaneKind::ALL {
-            let _ = write!(out, "{:<22}", plane.name());
-            for class in FaultClass::ALL {
-                let stats = graph.class_stats(class, plane, full);
-                if stats.offered == 0 {
-                    let _ = write!(out, " {:>14}", "-");
-                } else {
-                    let _ = write!(out, " {:>14}", format!("{:.2}%", 100.0 * stats.availability()));
-                }
-            }
-            let _ = writeln!(out);
-        }
-        let _ = write!(out, "{:<22}", "ttr p50");
-        for class in FaultClass::ALL {
-            let _ = write!(out, " {:>14}", class.short());
-        }
-        let _ = writeln!(out);
-        for plane in PlaneKind::ALL {
-            let _ = write!(out, "{:<22}", plane.name());
-            for class in FaultClass::ALL {
-                match graph.class_ttr(class, plane, full).p50() {
-                    Some(nanos) => {
-                        let _ = write!(out, " {:>14}", Duration::from_nanos(nanos).to_string());
-                    }
-                    None => {
-                        let _ = write!(out, " {:>14}", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
+        let planes = &PlaneKind::ALL;
+        class_columns(&mut out, "availability", planes, PlaneKind::name, |plane, class| {
+            availability(&graph.class_stats(class, plane, full))
+        });
+        class_columns(&mut out, "ttr p50", planes, PlaneKind::name, |plane, class| {
+            duration(graph.class_ttr(class, plane, full).p50())
+        });
         let totals = graph.graph_totals();
         let _ = writeln!(
             out,
@@ -382,59 +317,22 @@ impl RecoveryMatrix {
             "oblivious recovery vs restart (open-loop traffic, {} requests):",
             oblivious.spec.requests
         );
-        let _ = write!(out, "{:<22}", "availability");
-        for class in FaultClass::ALL {
-            let _ = write!(out, " {:>14}", class.short());
-        }
-        let _ = writeln!(out);
-        for mode in HealMode::ALL {
-            let _ = write!(out, "{:<22}", mode.name());
-            for class in FaultClass::ALL {
-                let stats = oblivious.class_stats(class, mode);
-                if stats.offered == 0 {
-                    let _ = write!(out, " {:>14}", "-");
-                } else {
-                    let _ = write!(out, " {:>14}", format!("{:.2}%", 100.0 * stats.availability()));
-                }
-            }
-            let _ = writeln!(out);
-        }
-        let _ = write!(out, "{:<22}", "substitutes");
-        for class in FaultClass::ALL {
-            let _ = write!(out, " {:>14}", class.short());
-        }
-        let _ = writeln!(out);
-        for mode in HealMode::ALL {
-            let _ = write!(out, "{:<22}", mode.name());
-            for class in FaultClass::ALL {
-                let stats = oblivious.class_stats(class, mode);
-                if stats.offered == 0 {
-                    let _ = write!(out, " {:>14}", "-");
-                } else {
-                    let (discarded, manufactured, _) = oblivious.class_costs(class, mode);
-                    let _ = write!(out, " {:>14}", format!("{discarded}+{manufactured}"));
-                }
-            }
-            let _ = writeln!(out);
-        }
-        let _ = write!(out, "{:<22}", "oracle violations");
-        for class in FaultClass::ALL {
-            let _ = write!(out, " {:>14}", class.short());
-        }
-        let _ = writeln!(out);
-        for mode in HealMode::ALL {
-            let _ = write!(out, "{:<22}", mode.name());
-            for class in FaultClass::ALL {
-                let stats = oblivious.class_stats(class, mode);
-                if stats.offered == 0 {
-                    let _ = write!(out, " {:>14}", "-");
-                } else {
-                    let (_, _, violations) = oblivious.class_costs(class, mode);
-                    let _ = write!(out, " {:>14}", violations);
-                }
-            }
-            let _ = writeln!(out);
-        }
+        // The cost families show `-` exactly where availability does.
+        let costs = |mode, class| {
+            let offered = oblivious.class_stats(class, mode).offered > 0;
+            offered.then(|| oblivious.class_costs(class, mode))
+        };
+        let modes = &HealMode::ALL;
+        class_columns(&mut out, "availability", modes, HealMode::name, |mode, class| {
+            availability(&oblivious.class_stats(class, mode))
+        });
+        class_columns(&mut out, "substitutes", modes, HealMode::name, |mode, class| {
+            costs(mode, class)
+                .map(|(discarded, manufactured, _)| format!("{discarded}+{manufactured}"))
+        });
+        class_columns(&mut out, "oracle violations", modes, HealMode::name, |mode, class| {
+            costs(mode, class).map(|(_, _, violations)| violations.to_string())
+        });
         out
     }
 
@@ -448,29 +346,47 @@ impl RecoveryMatrix {
         let mut out = self.to_string();
         let _ =
             writeln!(out, "SLO misses under open-loop traffic (dropped + over-SLO, of offered):");
-        let _ = write!(out, "{:<22}", "strategy");
-        for class in FaultClass::ALL {
-            let _ = write!(out, " {:>14}", class.short());
-        }
-        let _ = writeln!(out);
-        for strategy in StrategyKind::ALL {
-            let _ = write!(out, "{:<22}", strategy.name());
-            for class in FaultClass::ALL {
-                let stats = traffic.class_stats(class, strategy);
-                if stats.offered == 0 {
-                    let _ = write!(out, " {:>14}", "-");
-                } else {
-                    let _ = write!(
-                        out,
-                        " {:>14}",
-                        format!("{:.2}%", 100.0 * traffic.slo_miss_rate(class, strategy))
-                    );
-                }
-            }
-            let _ = writeln!(out);
-        }
+        let strategies = &StrategyKind::ALL;
+        class_columns(&mut out, "strategy", strategies, StrategyKind::name, |strategy, class| {
+            let stats = traffic.class_stats(class, strategy);
+            (stats.offered > 0).then(|| format!("{:.2}%", 100.0 * stats.slo_miss_rate()))
+        });
         out
     }
+}
+
+/// Appends one class-column block to `out`: a title row of
+/// [`FaultClass::ALL`], then one row per key with each class's cell from
+/// `cell`, or `-` where it has none.
+fn class_columns<K: Copy>(
+    out: &mut String,
+    title: &str,
+    keys: &[K],
+    name: fn(K) -> &'static str,
+    cell: impl Fn(K, FaultClass) -> Option<String>,
+) {
+    let _ = write!(out, "{title:<22}");
+    for class in FaultClass::ALL {
+        let _ = write!(out, " {:>14}", class.short());
+    }
+    let _ = writeln!(out);
+    for &key in keys {
+        let _ = write!(out, "{:<22}", name(key));
+        for class in FaultClass::ALL {
+            let _ = write!(out, " {:>14}", cell(key, class).as_deref().unwrap_or("-"));
+        }
+        let _ = writeln!(out);
+    }
+}
+
+/// An availability cell, empty for a cell that was offered nothing.
+fn availability(stats: &UnitStats) -> Option<String> {
+    (stats.offered > 0).then(|| format!("{:.2}%", 100.0 * stats.availability()))
+}
+
+/// A simulated-duration cell, empty when nothing was measured.
+fn duration(nanos: Option<u64>) -> Option<String> {
+    nanos.map(|nanos| Duration::from_nanos(nanos).to_string())
 }
 
 impl fmt::Display for RecoveryMatrix {

@@ -18,28 +18,28 @@
 //! faithfully preserves the poisoned counter and crashes forever, while
 //! the crash-only worker pool discards it and keeps serving.
 //!
-//! Determinism: unit seeds come from the batched `split_seed` stream,
-//! per-unit arrival/session/backoff seeds derive exactly as in the
-//! traffic campaign, and units fold in index order through
-//! [`run_chunk_fold`] — reports and registries are byte-identical at any
-//! thread count and chunk size.
+//! Units run on the shared [`driver`](crate::driver); each is the
+//! traffic plane's single-application open-loop unit under the unit's
+//! recovery mode.
 
-use crate::experiment::standard_env;
-use crate::traffic::{traffic_config, traffic_mix};
-use faultstudy_apps::spawn_app;
+use crate::driver::{
+    self, fold_stats, ledger_names, ledger_stats, ms, CampaignPlane, Headline, OpenLoopPlane,
+    OpenLoopSpec, Unit,
+};
+use crate::traffic::serve;
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
-use faultstudy_exec::{run_chunk_fold, ParallelSpec};
-use faultstudy_inject::{standard_plans, InjectionPlan, Injector};
+use faultstudy_exec::ParallelSpec;
+use faultstudy_inject::{standard_plans, InjectionPlan};
 use faultstudy_obs::{Histogram, MetricsRegistry};
 use faultstudy_recovery::{MicroReboot, RecoveryStrategy, RestartRetry};
-use faultstudy_sim::rng::{split_seed, SplitSeedStream};
-use faultstudy_traffic::{run_open_loop, ArrivalKind, TrafficParams, UnitStats};
+use faultstudy_sim::rng::split_seed;
+use faultstudy_traffic::UnitStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Retry budget of the process-restart mode, matching the recovery
 /// matrix's [`RestartRetry`] configuration.
-const RESTART_RETRIES: u32 = 3;
+pub(crate) const RESTART_RETRIES: u32 = 3;
 
 /// Retry budget of the microreboot mode. Deliberately larger than
 /// [`RESTART_RETRIES`]: budgets here are *time-equivalent*, not
@@ -50,22 +50,7 @@ const RESTART_RETRIES: u32 = 3;
 const MICRO_RETRIES: u32 = 8;
 
 /// Configuration of a microreboot campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MicroSpec {
-    /// Master seed; the campaign is a pure function of it.
-    pub seed: u64,
-    /// Total requests offered across the whole campaign, spread evenly
-    /// over the units (earlier units absorb the remainder).
-    pub requests: u64,
-    /// Arrival-process family for every unit.
-    pub arrival: ArrivalKind,
-}
-
-impl Default for MicroSpec {
-    fn default() -> Self {
-        MicroSpec { seed: 1, requests: 20_000, arrival: ArrivalKind::Poisson }
-    }
-}
+pub type MicroSpec = OpenLoopSpec;
 
 /// The recovery mode of one campaign unit — the comparison axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -150,162 +135,99 @@ pub struct MicroReport {
     pub cells: Vec<MicroCell>,
 }
 
-/// One campaign unit: fresh environment and application, the plan's
-/// injector on the pre-attempt hook, and an open-loop request stream
-/// under the unit's recovery mode.
-///
-/// The environment's metrics sink is *always* enabled here — the cell's
-/// TTR histogram comes from the supervisor's `recovery.ttr` spans — so
-/// the plain and instrumented campaigns run the very same simulation and
-/// produce identical reports.
-fn run_unit(
-    plan: &InjectionPlan,
-    mode: RecoveryMode,
-    app_kind: AppKind,
-    requests: u64,
-    arrival: ArrivalKind,
-    unit_seed: u64,
-    instrumented: bool,
-) -> (MicroCell, Option<MetricsRegistry>) {
-    let mut env = standard_env(unit_seed, true);
-    let mut app = spawn_app(app_kind, &mut env);
-    if app_kind == AppKind::Apache {
-        app.arm_defect(&plan.companion_defect)
-            .expect("every plan's companion defect arms in MiniWeb");
+impl CampaignPlane for MicroReport {
+    type Spec = MicroSpec;
+    type Plan = InjectionPlan;
+    type Cell = MicroCell;
+
+    /// Mode × application.
+    const AXES: [usize; 2] = [RecoveryMode::ALL.len(), AppKind::ALL.len()];
+
+    fn plans(spec: &MicroSpec) -> Vec<InjectionPlan> {
+        micro_plans(spec.seed)
     }
-    let mix = traffic_mix(app.as_ref(), app_kind, plan);
-    let mut injector = Injector::new(plan, &mut env);
-    let mut strat = mode.build(unit_seed);
-    let config = traffic_config(split_seed(unit_seed, 1));
-    let params = TrafficParams::standard(arrival, requests);
-    let stats = run_open_loop(
-        app.as_mut(),
-        &mut env,
-        strat.as_mut(),
-        &config,
-        Some(&mut injector),
-        &mix,
-        &params,
-        split_seed(unit_seed, 2),
-        split_seed(unit_seed, 3),
-    );
-    let registry = env.metrics.take().expect("metrics were enabled");
-    let ttr = registry.histogram("recovery.ttr", mode.name()).cloned().unwrap_or_default();
-    let cell = MicroCell {
-        app: app_kind,
-        plan: plan.name.clone(),
-        class: plan.class,
-        mode,
-        injected: injector.applied(),
-        stats,
-        ttr,
-    };
-    let registry = (instrumented && !registry.is_empty()).then_some(registry);
-    (cell, registry)
+
+    /// The environment's metrics sink is *always* enabled here — the
+    /// cell's TTR histogram comes from the supervisor's `recovery.ttr`
+    /// spans — so the plain and instrumented campaigns run the very same
+    /// simulation and produce identical reports.
+    fn run_unit(
+        spec: &MicroSpec,
+        unit: Unit<'_, InjectionPlan>,
+    ) -> (MicroCell, Option<MetricsRegistry>) {
+        let mode = RecoveryMode::ALL[unit.axes[0]];
+        let app = AppKind::ALL[unit.axes[1]];
+        let mut strategy = mode.build(unit.seed);
+        let mut served =
+            serve(unit.plan, app, strategy.as_mut(), unit.requests, spec.arrival, unit.seed, true);
+        let registry = served.env.metrics.take().expect("metrics were enabled");
+        let ttr = registry.histogram("recovery.ttr", mode.name()).cloned().unwrap_or_default();
+        let cell = MicroCell {
+            app,
+            plan: unit.plan.name.clone(),
+            class: unit.plan.class,
+            mode,
+            injected: served.injected,
+            stats: served.stats,
+            ttr,
+        };
+        (cell, (unit.instrumented && !registry.is_empty()).then_some(registry))
+    }
+
+    /// Per-cell request ledgers and TTR histograms under the
+    /// `<class>/<mode>` label.
+    fn ledger(registry: &mut MetricsRegistry, cell: &MicroCell) {
+        let label = format!("{}/{}", cell.class.short(), cell.mode.name());
+        ledger_stats(registry, ledger_names!("micro"), &label, &cell.stats);
+        registry.merge_histogram("micro.ttr.class", &label, cell.ttr.clone());
+    }
+
+    fn assemble(spec: MicroSpec, cells: Vec<MicroCell>) -> Self {
+        MicroReport { spec, cells }
+    }
+
+    fn anomalies(&self) -> Vec<String> {
+        MicroReport::anomalies(self)
+    }
 }
 
-/// Ledgers a finished unit into the campaign registry under its
-/// `<class>/<mode>` cell label.
-fn ledger_unit(registry: &mut MetricsRegistry, cell: &MicroCell) {
-    let label = format!("{}/{}", cell.class.short(), cell.mode.name());
-    let s = &cell.stats;
-    registry.incr("micro.offered", &label, s.offered);
-    registry.incr("micro.ok", &label, s.ok);
-    registry.incr("micro.denied", &label, s.denied);
-    registry.incr("micro.dropped", &label, s.dropped);
-    registry.incr("micro.slo.violations", &label, s.slo_violations);
-    registry.incr("micro.sim_nanos", &label, s.sim_nanos);
-    registry.merge_histogram("micro.latency", &label, s.latency.clone());
-    registry.merge_histogram("micro.ttr.class", &label, cell.ttr.clone());
+impl OpenLoopPlane for MicroReport {
+    /// How much faster the crash-only partition recovers a transient
+    /// fault than the whole-process restart.
+    fn headline(&self) -> Headline {
+        let class = FaultClass::EnvDependentTransient;
+        let micro_p50 = self.class_ttr(class, RecoveryMode::Micro).p50().unwrap_or(0);
+        let restart_p50 = self.class_ttr(class, RecoveryMode::Restart).p50().unwrap_or(0);
+        let ttr_ratio = if micro_p50 > 0 { restart_p50 as f64 / micro_p50 as f64 } else { 0.0 };
+        let t = self.totals();
+        Headline {
+            section: "comparison",
+            summary: serde_json::json!({
+                "transient_ttr_p50_restart_ns": restart_p50,
+                "transient_ttr_p50_micro_ns": micro_p50,
+                "ttr_ratio_restart_over_micro": ttr_ratio,
+                "offered": t.offered,
+                "availability_pct": 100.0 * t.availability(),
+                "dropped": t.dropped,
+            }),
+            tracked: &["ttr_ratio_restart_over_micro"],
+        }
+    }
 }
 
-/// Units per campaign: every plan × mode × application.
-fn unit_count(plans: usize) -> usize {
-    plans * RecoveryMode::ALL.len() * AppKind::ALL.len()
+driver::entry_points! {
+    /// The registry carries the per-cell ledgers (`micro.offered`,
+    /// `micro.ok`, `micro.denied`, `micro.dropped`, `micro.slo.violations`,
+    /// `micro.sim_nanos`, `micro.latency`, `micro.ttr.class`) and everything
+    /// the units' environments recorded: the microreboot strategy's
+    /// per-component counters (`micro.reboot`, `micro.reboot.subtree`,
+    /// `micro.reboot.process`, `micro.lost`) and per-component TTR spans
+    /// (`micro.ttr`), supervisor hardening counters, and injector
+    /// applications.
+    MicroReport(MicroSpec)
 }
 
 impl MicroReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: MicroSpec) -> MicroReport {
-        Self::run_with(spec, ParallelSpec::default())
-    }
-
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: MicroSpec, parallel: ParallelSpec) -> MicroReport {
-        Self::run_units(spec, parallel, false).0
-    }
-
-    /// Runs the campaign with the per-unit registries merged and the
-    /// per-cell ledgers (`micro.offered`, `micro.ok`, `micro.denied`,
-    /// `micro.dropped`, `micro.slo.violations`, `micro.sim_nanos`,
-    /// `micro.latency`, `micro.ttr.class`) added, returning the registry
-    /// alongside the (unchanged) report. The merged registry also carries
-    /// everything the units' environments recorded: the microreboot
-    /// strategy's per-component counters (`micro.reboot`,
-    /// `micro.reboot.subtree`, `micro.reboot.process`, `micro.lost`) and
-    /// per-component TTR spans (`micro.ttr`), supervisor hardening
-    /// counters, and injector applications. Registries merge in
-    /// unit-index order, so the result is byte-identical at any thread
-    /// count.
-    pub fn run_instrumented(
-        spec: MicroSpec,
-        parallel: ParallelSpec,
-    ) -> (MicroReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
-    }
-
-    fn run_units(
-        spec: MicroSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (MicroReport, MetricsRegistry) {
-        struct Acc {
-            cells: Vec<MicroCell>,
-            registry: MetricsRegistry,
-        }
-        let plans = micro_plans(spec.seed);
-        let units = unit_count(plans.len());
-        let per_app = AppKind::ALL.len();
-        let per_plan = RecoveryMode::ALL.len() * per_app;
-        let base_requests = spec.requests / units as u64;
-        let remainder = spec.requests % units as u64;
-        let acc = run_chunk_fold(
-            units,
-            parallel,
-            || Acc { cells: Vec::new(), registry: MetricsRegistry::new() },
-            |range, acc: &mut Acc| {
-                let mut seeds = SplitSeedStream::new(spec.seed, range.start as u64);
-                for index in range {
-                    let plan = &plans[index / per_plan];
-                    let mode = RecoveryMode::ALL[(index % per_plan) / per_app];
-                    let app_kind = AppKind::ALL[index % per_app];
-                    let requests = base_requests + u64::from((index as u64) < remainder);
-                    let (cell, metrics) = run_unit(
-                        plan,
-                        mode,
-                        app_kind,
-                        requests,
-                        spec.arrival,
-                        seeds.next_seed(),
-                        instrumented,
-                    );
-                    if let Some(reg) = &metrics {
-                        acc.registry.merge_from(reg);
-                    }
-                    if instrumented {
-                        ledger_unit(&mut acc.registry, &cell);
-                    }
-                    acc.cells.push(cell);
-                }
-            },
-            |acc, later| {
-                acc.cells.extend(later.cells);
-                acc.registry.merge_from(&later.registry);
-            },
-        );
-        (MicroReport { spec, cells: acc.cells }, acc.registry)
-    }
-
     /// The unit for `(plan, mode, app)`, if the plan exists.
     pub fn cell(&self, plan: &str, mode: RecoveryMode, app: AppKind) -> Option<&MicroCell> {
         self.cells.iter().find(|c| c.plan == plan && c.mode == mode && c.app == app)
@@ -314,44 +236,36 @@ impl MicroReport {
     /// The folded ledger of every unit of `class` under `mode`, across
     /// all plans and applications.
     pub fn class_stats(&self, class: FaultClass, mode: RecoveryMode) -> UnitStats {
-        let mut total = UnitStats::default();
-        for cell in &self.cells {
-            if cell.class == class && cell.mode == mode {
-                total.absorb(&cell.stats);
-            }
-        }
-        total
+        fold_stats(self.class_cells(class, mode).map(|c| &c.stats))
     }
 
     /// The merged time-to-recovery histogram of every unit of `class`
     /// under `mode`.
     pub fn class_ttr(&self, class: FaultClass, mode: RecoveryMode) -> Histogram {
         let mut total = Histogram::new();
-        for cell in &self.cells {
-            if cell.class == class && cell.mode == mode {
-                total.merge_from(&cell.ttr);
-            }
+        for cell in self.class_cells(class, mode) {
+            total.merge_from(&cell.ttr);
         }
         total
     }
 
+    fn class_cells(
+        &self,
+        class: FaultClass,
+        mode: RecoveryMode,
+    ) -> impl Iterator<Item = &MicroCell> {
+        self.cells.iter().filter(move |c| c.class == class && c.mode == mode)
+    }
+
     /// The folded ledger of the whole campaign.
     pub fn totals(&self) -> UnitStats {
-        let mut total = UnitStats::default();
-        for cell in &self.cells {
-            total.absorb(&cell.stats);
-        }
-        total
+        fold_stats(self.cells.iter().map(|c| &c.stats))
     }
 
     /// Fraction of offered requests in `(class, mode)` that missed the
     /// SLO — violations plus drops over offered, in [0, 1].
     pub fn slo_miss_rate(&self, class: FaultClass, mode: RecoveryMode) -> f64 {
-        let stats = self.class_stats(class, mode);
-        if stats.offered == 0 {
-            return 0.0;
-        }
-        (stats.slo_violations + stats.dropped) as f64 / stats.offered as f64
+        self.class_stats(class, mode).slo_miss_rate()
     }
 
     /// Violations of the campaign's class contract on the state-leak
@@ -362,36 +276,23 @@ impl MicroReport {
     /// non-zero instead of passing vacuously.
     pub fn anomalies(&self) -> Vec<String> {
         let mut anomalies = Vec::new();
-        let mut fetch = |mode: RecoveryMode| -> Option<&MicroCell> {
-            let Some(cell) = self.cell("state-leak", mode, AppKind::Apache) else {
-                anomalies.push(format!("state-leak/{}: contract cell missing", mode.name()));
-                return None;
-            };
-            if cell.stats.offered == 0 {
-                anomalies.push(format!(
-                    "state-leak/{}: offered no requests, contract unchecked",
-                    mode.name()
-                ));
-                return None;
-            }
-            Some(cell)
+        let mut fetch = |mode: RecoveryMode| {
+            let cell = self.cell("state-leak", mode, AppKind::Apache);
+            driver::contract_cell(&mut anomalies, ("state-leak", mode.name()), cell, |c| {
+                c.stats.offered
+            })
         };
         let restart = fetch(RecoveryMode::Restart);
         let micro = fetch(RecoveryMode::Micro);
-        if let Some(restart) = restart {
-            if restart.stats.dropped == 0 {
-                anomalies.push(
-                    "state-leak/restart: the restored checkpoint must preserve the leak".to_owned(),
-                );
-            }
+        if restart.is_some_and(|c| c.stats.dropped == 0) {
+            anomalies.push(
+                "state-leak/restart: the restored checkpoint must preserve the leak".to_owned(),
+            );
         }
-        if let Some(micro) = micro {
-            if micro.stats.dropped > 0 {
-                anomalies.push(
-                    "state-leak/microreboot: the crash-only reboot must not lose a request"
-                        .to_owned(),
-                );
-            }
+        if micro.is_some_and(|c| c.stats.dropped > 0) {
+            anomalies.push(
+                "state-leak/microreboot: the crash-only reboot must not lose a request".to_owned(),
+            );
         }
         if let (Some(restart), Some(micro)) = (restart, micro) {
             if micro.stats.availability() <= restart.stats.availability() {
@@ -405,21 +306,9 @@ impl MicroReport {
     }
 }
 
-/// Nanoseconds rendered as fractional milliseconds for the tables.
-fn ms(nanos: Option<u64>) -> f64 {
-    nanos.unwrap_or(0) as f64 / 1e6
-}
-
 impl fmt::Display for MicroReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Microreboot campaign: {} requests offered over {} units ({} arrivals, seed {})",
-            self.spec.requests,
-            self.cells.len(),
-            self.spec.arrival.name(),
-            self.spec.seed
-        )?;
+        driver::write_title(f, "Microreboot", &self.spec, self.cells.len())?;
         writeln!(
             f,
             "  {:<12} {:<12} {:>9} {:>7} {:>9} {:>11} {:>11} {:>7}",
@@ -446,28 +335,16 @@ impl fmt::Display for MicroReport {
                 )?;
             }
         }
-        let t = self.totals();
-        writeln!(
-            f,
-            "  total: {} offered, {} answered ({:.2}%), {} dropped, {} SLO violations",
-            t.offered,
-            t.answered(),
-            100.0 * t.availability(),
-            t.dropped,
-            t.slo_violations
-        )?;
-        let anomalies = self.anomalies();
-        if anomalies.is_empty() {
-            writeln!(f, "  no anomalies: the state-leak cells matched the crash-only contract")
-        } else {
-            writeln!(f, "  ANOMALIES: {anomalies:?}")
-        }
+        driver::write_total(f, &self.totals(), true)?;
+        let clean = "the state-leak cells matched the crash-only contract";
+        driver::write_verdict(f, &self.anomalies(), clean)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faultstudy_traffic::ArrivalKind;
 
     fn small_spec(seed: u64) -> MicroSpec {
         // 3600 / 60 units = 60 requests per unit, exactly.
@@ -490,14 +367,7 @@ mod tests {
 
     #[test]
     fn reports_are_reproducible_and_thread_invariant() {
-        let spec = small_spec(7);
-        let reference = MicroReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let report = MicroReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
-        let chunked = MicroReport::run_with(spec, ParallelSpec::threads(2).with_chunk(7));
-        assert_eq!(chunked, reference);
+        driver::tests::assert_thread_invariant::<MicroReport>(small_spec(7), false);
     }
 
     #[test]
@@ -538,15 +408,7 @@ mod tests {
 
     #[test]
     fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = small_spec(2);
-        let (ref_report, ref_registry) =
-            MicroReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let (report, registry) =
-                MicroReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
+        driver::tests::assert_thread_invariant::<MicroReport>(small_spec(2), true);
     }
 
     #[test]

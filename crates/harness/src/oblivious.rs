@@ -30,31 +30,28 @@
 //! makes visible — while the state-leak slice is healed silently and
 //! correctly by scrubbing alone.
 //!
-//! Determinism: unit seeds come from the batched `split_seed` stream,
-//! the healer's probe derives from `split_seed(unit_seed, 5)` on its own
-//! environment, and units fold in index order through [`run_chunk_fold`]
-//! — reports and registries are byte-identical at any thread count and
-//! chunk size.
+//! Units run on the shared [`driver`](crate::driver); the healer's probe
+//! is a pure function of its unit, seeded from `split_seed(unit_seed, 5)`
+//! on its own environment.
 
-use crate::experiment::standard_env;
-use crate::micro::micro_plans;
-use crate::traffic::{traffic_config, traffic_mix};
-use faultstudy_apps::spawn_app;
+use crate::driver::{
+    self, fold_stats, ledger_names, ledger_stats, CampaignPlane, Headline, OpenLoopPlane,
+    OpenLoopSpec, Unit,
+};
+use crate::micro::{micro_plans, RESTART_RETRIES};
+use crate::traffic::serve;
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
-use faultstudy_exec::{run_chunk_fold, ParallelSpec};
-use faultstudy_inject::{InjectionPlan, Injector};
+use faultstudy_exec::ParallelSpec;
+use faultstudy_inject::InjectionPlan;
 use faultstudy_obs::{Histogram, MetricsRegistry};
 use faultstudy_recovery::{
     FailureProfile, ManufacturedValue, MicroReboot, Oblivious, ProfileHealer, RecoveryStrategy,
     RestartRetry, StateScrub,
 };
-use faultstudy_sim::rng::{split_seed, SplitSeedStream};
-use faultstudy_traffic::{run_open_loop, ArrivalKind, TrafficParams, UnitStats};
+use faultstudy_sim::rng::split_seed;
+use faultstudy_traffic::{ArrivalKind, UnitStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Retry budget of the restart baseline, matching the recovery matrix.
-const RESTART_RETRIES: u32 = 3;
 
 /// Retry budget of the scrubbing modes. As in the microreboot campaign,
 /// budgets are time-equivalent rather than attempt-equivalent: an
@@ -69,22 +66,7 @@ const SCRUB_RETRIES: u32 = 8;
 const PROBE_REQUESTS: u64 = 96;
 
 /// Configuration of an oblivious-recovery campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ObliviousSpec {
-    /// Master seed; the campaign is a pure function of it.
-    pub seed: u64,
-    /// Total requests offered across the whole campaign, spread evenly
-    /// over the units (earlier units absorb the remainder).
-    pub requests: u64,
-    /// Arrival-process family for every unit.
-    pub arrival: ArrivalKind,
-}
-
-impl Default for ObliviousSpec {
-    fn default() -> Self {
-        ObliviousSpec { seed: 1, requests: 20_000, arrival: ArrivalKind::Poisson }
-    }
-}
+pub type ObliviousSpec = OpenLoopSpec;
 
 /// The recovery mode of one campaign unit — the comparison axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -162,29 +144,9 @@ fn probe_profile(
     unit_seed: u64,
 ) -> FailureProfile {
     let probe_seed = split_seed(unit_seed, 5);
-    let mut env = standard_env(probe_seed, true);
-    let mut app = spawn_app(app_kind, &mut env);
-    if app_kind == AppKind::Apache {
-        app.arm_defect(&plan.companion_defect)
-            .expect("every plan's companion defect arms in MiniWeb");
-    }
-    let mix = traffic_mix(app.as_ref(), app_kind, plan);
-    let mut injector = Injector::new(plan, &mut env);
     let mut probe = MicroReboot::new(SCRUB_RETRIES, split_seed(probe_seed, 4));
-    let config = traffic_config(split_seed(probe_seed, 1));
-    let params = TrafficParams::standard(arrival, PROBE_REQUESTS);
-    run_open_loop(
-        app.as_mut(),
-        &mut env,
-        &mut probe,
-        &config,
-        Some(&mut injector),
-        &mix,
-        &params,
-        split_seed(probe_seed, 2),
-        split_seed(probe_seed, 3),
-    );
-    let registry = env.metrics.take().expect("probe metrics were enabled");
+    let mut served = serve(plan, app_kind, &mut probe, PROBE_REQUESTS, arrival, probe_seed, true);
+    let registry = served.env.metrics.take().expect("probe metrics were enabled");
     FailureProfile::from_registry(&registry)
 }
 
@@ -226,87 +188,6 @@ pub struct ObliviousReport {
     pub anomalies: Vec<String>,
 }
 
-/// One campaign unit: fresh environment and application, the plan's
-/// injector on the pre-attempt hook, and an open-loop request stream
-/// under the unit's heal mode. Metrics are always enabled — the cell's
-/// TTR, substitute, and oracle counters come from the registry — so the
-/// plain and instrumented campaigns run the very same simulation.
-fn run_unit(
-    plan: &InjectionPlan,
-    mode: HealMode,
-    app_kind: AppKind,
-    requests: u64,
-    arrival: ArrivalKind,
-    unit_seed: u64,
-    instrumented: bool,
-) -> (ObliviousCell, Option<MetricsRegistry>) {
-    let mut env = standard_env(unit_seed, true);
-    let mut app = spawn_app(app_kind, &mut env);
-    if app_kind == AppKind::Apache {
-        app.arm_defect(&plan.companion_defect)
-            .expect("every plan's companion defect arms in MiniWeb");
-    }
-    let mix = traffic_mix(app.as_ref(), app_kind, plan);
-    let mut injector = Injector::new(plan, &mut env);
-    let mut strat = mode.build(plan, app_kind, arrival, unit_seed);
-    let config = traffic_config(split_seed(unit_seed, 1));
-    let params = TrafficParams::standard(arrival, requests);
-    let stats = run_open_loop(
-        app.as_mut(),
-        &mut env,
-        strat.as_mut(),
-        &config,
-        Some(&mut injector),
-        &mix,
-        &params,
-        split_seed(unit_seed, 2),
-        split_seed(unit_seed, 3),
-    );
-    let registry = env.metrics.take().expect("metrics were enabled");
-    let name = mode.name();
-    let ttr = registry.histogram("recovery.ttr", name).cloned().unwrap_or_default();
-    // The end-of-unit audit catches corruption that no later success
-    // re-checked — e.g. a unit whose final requests were all dropped.
-    let final_audit = app.check_oracle(&env).len() as u64;
-    let cell = ObliviousCell {
-        app: app_kind,
-        plan: plan.name.clone(),
-        class: plan.class,
-        mode,
-        injected: injector.applied(),
-        discarded: registry.counter("oblivious.discarded", name),
-        manufactured: registry.counter("oblivious.manufactured", name),
-        oracle_violations: registry.counter("oracle.violations", name) + final_audit,
-        stats,
-        ttr,
-    };
-    let registry = (instrumented && !registry.is_empty()).then_some(registry);
-    (cell, registry)
-}
-
-/// Ledgers a finished unit into the campaign registry under its
-/// `<class>/<mode>` cell label.
-fn ledger_unit(registry: &mut MetricsRegistry, cell: &ObliviousCell) {
-    let label = format!("{}/{}", cell.class.short(), cell.mode.name());
-    let s = &cell.stats;
-    registry.incr("oblivious.offered", &label, s.offered);
-    registry.incr("oblivious.ok", &label, s.ok);
-    registry.incr("oblivious.denied", &label, s.denied);
-    registry.incr("oblivious.dropped", &label, s.dropped);
-    registry.incr("oblivious.slo.violations", &label, s.slo_violations);
-    registry.incr("oblivious.sim_nanos", &label, s.sim_nanos);
-    registry.incr("oblivious.substitute.discarded", &label, cell.discarded);
-    registry.incr("oblivious.substitute.manufactured", &label, cell.manufactured);
-    registry.incr("oblivious.oracle.violations", &label, cell.oracle_violations);
-    registry.merge_histogram("oblivious.latency", &label, s.latency.clone());
-    registry.merge_histogram("oblivious.ttr.class", &label, cell.ttr.clone());
-}
-
-/// Units per campaign: every plan × mode × application.
-fn unit_count(plans: usize) -> usize {
-    plans * HealMode::ALL.len() * AppKind::ALL.len()
-}
-
 /// The campaign's class contract, checked on the folded cell set. Every
 /// check pins one edge of the physics on the application whose defect
 /// rides in the traffic mix (MiniWeb): the EI slice is rescued *only* by
@@ -316,25 +197,16 @@ fn unit_count(plans: usize) -> usize {
 /// pass vacuously.
 fn contract_anomalies(cells: &[ObliviousCell]) -> Vec<String> {
     let mut anomalies = Vec::new();
-    let mut check = |plan: &str,
-                     mode: HealMode,
-                     what: &str,
-                     holds: &dyn Fn(&ObliviousCell) -> bool| {
-        let found =
-            cells.iter().find(|c| c.plan == plan && c.mode == mode && c.app == AppKind::Apache);
-        let Some(cell) = found else {
-            anomalies.push(format!("{plan}/{}: contract cell missing", mode.name()));
-            return;
+    let mut check =
+        |plan: &str, mode: HealMode, what: &str, holds: &dyn Fn(&ObliviousCell) -> bool| {
+            let cell =
+                cells.iter().find(|c| c.plan == plan && c.mode == mode && c.app == AppKind::Apache);
+            if driver::contract_cell(&mut anomalies, (plan, mode.name()), cell, |c| c.stats.offered)
+                .is_some_and(|cell| !holds(cell))
+            {
+                anomalies.push(format!("{plan}/{}: {what}", mode.name()));
+            }
         };
-        if cell.stats.offered == 0 {
-            anomalies
-                .push(format!("{plan}/{}: offered no requests, contract unchecked", mode.name()));
-            return;
-        }
-        if !holds(cell) {
-            anomalies.push(format!("{plan}/{}: {what}", mode.name()));
-        }
-    };
     // The EI control: a deterministic code defect in the mix.
     check(
         "ei-control",
@@ -391,113 +263,141 @@ fn contract_anomalies(cells: &[ObliviousCell]) -> Vec<String> {
     anomalies
 }
 
-impl ObliviousReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: ObliviousSpec) -> ObliviousReport {
-        Self::run_with(spec, ParallelSpec::default())
+impl CampaignPlane for ObliviousReport {
+    type Spec = ObliviousSpec;
+    type Plan = InjectionPlan;
+    type Cell = ObliviousCell;
+
+    /// Heal mode × application.
+    const AXES: [usize; 2] = [HealMode::ALL.len(), AppKind::ALL.len()];
+
+    fn plans(spec: &ObliviousSpec) -> Vec<InjectionPlan> {
+        micro_plans(spec.seed)
     }
 
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: ObliviousSpec, parallel: ParallelSpec) -> ObliviousReport {
-        Self::run_units(spec, parallel, false).0
+    /// Metrics are always enabled — the cell's TTR, substitute, and
+    /// oracle counters come from the registry — so the plain and
+    /// instrumented campaigns run the very same simulation.
+    fn run_unit(
+        spec: &ObliviousSpec,
+        unit: Unit<'_, InjectionPlan>,
+    ) -> (ObliviousCell, Option<MetricsRegistry>) {
+        let mode = HealMode::ALL[unit.axes[0]];
+        let app = AppKind::ALL[unit.axes[1]];
+        let mut strategy = mode.build(unit.plan, app, spec.arrival, unit.seed);
+        let mut served =
+            serve(unit.plan, app, strategy.as_mut(), unit.requests, spec.arrival, unit.seed, true);
+        let registry = served.env.metrics.take().expect("metrics were enabled");
+        let name = mode.name();
+        let ttr = registry.histogram("recovery.ttr", name).cloned().unwrap_or_default();
+        // The end-of-unit audit catches corruption that no later success
+        // re-checked — e.g. a unit whose final requests were all dropped.
+        let final_audit = served.app.check_oracle(&served.env).len() as u64;
+        let cell = ObliviousCell {
+            app,
+            plan: unit.plan.name.clone(),
+            class: unit.plan.class,
+            mode,
+            injected: served.injected,
+            discarded: registry.counter("oblivious.discarded", name),
+            manufactured: registry.counter("oblivious.manufactured", name),
+            oracle_violations: registry.counter("oracle.violations", name) + final_audit,
+            stats: served.stats,
+            ttr,
+        };
+        (cell, (unit.instrumented && !registry.is_empty()).then_some(registry))
     }
 
-    /// Runs the campaign with the per-unit registries merged and the
-    /// per-cell ledgers (`oblivious.offered`, `oblivious.ok`,
-    /// `oblivious.denied`, `oblivious.dropped`, `oblivious.slo.violations`,
-    /// `oblivious.sim_nanos`, `oblivious.substitute.discarded`,
-    /// `oblivious.substitute.manufactured`, `oblivious.oracle.violations`,
-    /// `oblivious.latency`, `oblivious.ttr.class`) added, returning the
-    /// registry alongside the (unchanged) report. Registries merge in
-    /// unit-index order, so the result is byte-identical at any thread
-    /// count.
-    pub fn run_instrumented(
-        spec: ObliviousSpec,
-        parallel: ParallelSpec,
-    ) -> (ObliviousReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
+    /// Per-cell request ledgers, wrong-answer costs and TTR histograms
+    /// under the `<class>/<mode>` label.
+    fn ledger(registry: &mut MetricsRegistry, cell: &ObliviousCell) {
+        let label = format!("{}/{}", cell.class.short(), cell.mode.name());
+        ledger_stats(registry, ledger_names!("oblivious"), &label, &cell.stats);
+        registry.incr("oblivious.substitute.discarded", &label, cell.discarded);
+        registry.incr("oblivious.substitute.manufactured", &label, cell.manufactured);
+        registry.incr("oblivious.oracle.violations", &label, cell.oracle_violations);
+        registry.merge_histogram("oblivious.ttr.class", &label, cell.ttr.clone());
     }
 
-    fn run_units(
-        spec: ObliviousSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (ObliviousReport, MetricsRegistry) {
-        struct Acc {
-            cells: Vec<ObliviousCell>,
-            registry: MetricsRegistry,
+    /// The contract spans modes, so it is checked on the complete fold —
+    /// a pure function of the cells, hence thread-invariant.
+    fn assemble(spec: ObliviousSpec, cells: Vec<ObliviousCell>) -> Self {
+        let anomalies = contract_anomalies(&cells);
+        ObliviousReport { spec, cells, anomalies }
+    }
+
+    fn anomalies(&self) -> Vec<String> {
+        self.anomalies.clone()
+    }
+}
+
+impl OpenLoopPlane for ObliviousReport {
+    /// The fraction of the restart baseline's EI drops that the discard
+    /// mode rescues, and the oracle violations the manufactured mode pays
+    /// for the same rescue.
+    fn headline(&self) -> Headline {
+        let ei = FaultClass::EnvironmentIndependent;
+        let restart = self.class_stats(ei, HealMode::Restart);
+        let oblivious = self.class_stats(ei, HealMode::Oblivious);
+        let rescued = restart.dropped.saturating_sub(oblivious.dropped);
+        let rescue_ratio =
+            if restart.dropped > 0 { rescued as f64 / restart.dropped as f64 } else { 0.0 };
+        let (_, manufactured, oracle) = self.class_costs(ei, HealMode::Manufactured);
+        let t = self.totals();
+        Headline {
+            section: "comparison",
+            summary: serde_json::json!({
+                "ei_restart_dropped": restart.dropped,
+                "ei_oblivious_dropped": oblivious.dropped,
+                "ei_rescue_ratio": rescue_ratio,
+                "ei_manufactured_substitutes": manufactured,
+                "ei_oracle_violations_manufactured": oracle,
+                "offered": t.offered,
+                "availability_pct": 100.0 * t.availability(),
+                "dropped": t.dropped,
+            }),
+            tracked: &["ei_rescue_ratio", "ei_oracle_violations_manufactured"],
         }
-        let plans = micro_plans(spec.seed);
-        let units = unit_count(plans.len());
-        let per_app = AppKind::ALL.len();
-        let per_plan = HealMode::ALL.len() * per_app;
-        let base_requests = spec.requests / units as u64;
-        let remainder = spec.requests % units as u64;
-        let acc = run_chunk_fold(
-            units,
-            parallel,
-            || Acc { cells: Vec::new(), registry: MetricsRegistry::new() },
-            |range, acc: &mut Acc| {
-                let mut seeds = SplitSeedStream::new(spec.seed, range.start as u64);
-                for index in range {
-                    let plan = &plans[index / per_plan];
-                    let mode = HealMode::ALL[(index % per_plan) / per_app];
-                    let app_kind = AppKind::ALL[index % per_app];
-                    let requests = base_requests + u64::from((index as u64) < remainder);
-                    let (cell, metrics) = run_unit(
-                        plan,
-                        mode,
-                        app_kind,
-                        requests,
-                        spec.arrival,
-                        seeds.next_seed(),
-                        instrumented,
-                    );
-                    if let Some(reg) = &metrics {
-                        acc.registry.merge_from(reg);
-                    }
-                    if instrumented {
-                        ledger_unit(&mut acc.registry, &cell);
-                    }
-                    acc.cells.push(cell);
-                }
-            },
-            |acc, later| {
-                acc.cells.extend(later.cells);
-                acc.registry.merge_from(&later.registry);
-            },
-        );
-        // The contract spans modes, so it is checked on the complete
-        // fold — a pure function of the cells, hence thread-invariant.
-        let anomalies = contract_anomalies(&acc.cells);
-        (ObliviousReport { spec, cells: acc.cells, anomalies }, acc.registry)
     }
+}
 
+driver::entry_points! {
+    /// The registry carries the per-cell ledgers (`oblivious.offered`,
+    /// `oblivious.ok`, `oblivious.denied`, `oblivious.dropped`,
+    /// `oblivious.slo.violations`, `oblivious.sim_nanos`,
+    /// `oblivious.substitute.discarded`, `oblivious.substitute.manufactured`,
+    /// `oblivious.oracle.violations`, `oblivious.latency`,
+    /// `oblivious.ttr.class`) and everything the units' environments
+    /// recorded.
+    ObliviousReport(ObliviousSpec)
+}
+
+impl ObliviousReport {
     /// The unit for `(plan, mode, app)`, if the plan exists.
     pub fn cell(&self, plan: &str, mode: HealMode, app: AppKind) -> Option<&ObliviousCell> {
         self.cells.iter().find(|c| c.plan == plan && c.mode == mode && c.app == app)
     }
 
+    fn class_cells(
+        &self,
+        class: FaultClass,
+        mode: HealMode,
+    ) -> impl Iterator<Item = &ObliviousCell> {
+        self.cells.iter().filter(move |c| c.class == class && c.mode == mode)
+    }
+
     /// The folded ledger of every unit of `class` under `mode`, across
     /// all plans and applications.
     pub fn class_stats(&self, class: FaultClass, mode: HealMode) -> UnitStats {
-        let mut total = UnitStats::default();
-        for cell in &self.cells {
-            if cell.class == class && cell.mode == mode {
-                total.absorb(&cell.stats);
-            }
-        }
-        total
+        fold_stats(self.class_cells(class, mode).map(|c| &c.stats))
     }
 
     /// The merged time-to-recovery histogram of every unit of `class`
     /// under `mode`.
     pub fn class_ttr(&self, class: FaultClass, mode: HealMode) -> Histogram {
         let mut total = Histogram::new();
-        for cell in &self.cells {
-            if cell.class == class && cell.mode == mode {
-                total.merge_from(&cell.ttr);
-            }
+        for cell in self.class_cells(class, mode) {
+            total.merge_from(&cell.ttr);
         }
         total
     }
@@ -505,47 +405,20 @@ impl ObliviousReport {
     /// `(discarded, manufactured, oracle violations)` summed over every
     /// unit of `class` under `mode` — the wrong-answer column family.
     pub fn class_costs(&self, class: FaultClass, mode: HealMode) -> (u64, u64, u64) {
-        let mut costs = (0, 0, 0);
-        for cell in &self.cells {
-            if cell.class == class && cell.mode == mode {
-                costs.0 += cell.discarded;
-                costs.1 += cell.manufactured;
-                costs.2 += cell.oracle_violations;
-            }
-        }
-        costs
-    }
-
-    /// Fraction of offered requests in `(class, mode)` that were answered
-    /// with a silent manufactured default — the silent-wrong-answer rate.
-    pub fn wrong_answer_rate(&self, class: FaultClass, mode: HealMode) -> f64 {
-        let stats = self.class_stats(class, mode);
-        if stats.offered == 0 {
-            return 0.0;
-        }
-        self.class_costs(class, mode).1 as f64 / stats.offered as f64
+        self.class_cells(class, mode).fold((0, 0, 0), |(d, m, o), c| {
+            (d + c.discarded, m + c.manufactured, o + c.oracle_violations)
+        })
     }
 
     /// The folded ledger of the whole campaign.
     pub fn totals(&self) -> UnitStats {
-        let mut total = UnitStats::default();
-        for cell in &self.cells {
-            total.absorb(&cell.stats);
-        }
-        total
+        fold_stats(self.cells.iter().map(|c| &c.stats))
     }
 }
 
 impl fmt::Display for ObliviousReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Oblivious-recovery campaign: {} requests offered over {} units ({} arrivals, seed {})",
-            self.spec.requests,
-            self.cells.len(),
-            self.spec.arrival.name(),
-            self.spec.seed
-        )?;
+        driver::write_title(f, "Oblivious-recovery", &self.spec, self.cells.len())?;
         writeln!(
             f,
             "  {:<12} {:<13} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9}",
@@ -572,20 +445,9 @@ impl fmt::Display for ObliviousReport {
                 )?;
             }
         }
-        let t = self.totals();
-        writeln!(
-            f,
-            "  total: {} offered, {} answered ({:.2}%), {} dropped",
-            t.offered,
-            t.answered(),
-            100.0 * t.availability(),
-            t.dropped,
-        )?;
-        if self.anomalies.is_empty() {
-            writeln!(f, "  no anomalies: rescue and wrong-answer costs matched the class contract")
-        } else {
-            writeln!(f, "  ANOMALIES: {:?}", self.anomalies)
-        }
+        driver::write_total(f, &self.totals(), false)?;
+        let clean = "rescue and wrong-answer costs matched the class contract";
+        driver::write_verdict(f, &self.anomalies, clean)
     }
 }
 
@@ -619,14 +481,7 @@ mod tests {
 
     #[test]
     fn reports_are_reproducible_and_thread_invariant() {
-        let spec = small_spec(7);
-        let reference = ObliviousReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let report = ObliviousReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
-        let chunked = ObliviousReport::run_with(spec, ParallelSpec::threads(2).with_chunk(7));
-        assert_eq!(chunked, reference);
+        driver::tests::assert_thread_invariant::<ObliviousReport>(small_spec(7), false);
     }
 
     #[test]
@@ -686,15 +541,7 @@ mod tests {
 
     #[test]
     fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = small_spec(2);
-        let (ref_report, ref_registry) =
-            ObliviousReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let (report, registry) =
-                ObliviousReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
+        driver::tests::assert_thread_invariant::<ObliviousReport>(small_spec(2), true);
     }
 
     #[test]

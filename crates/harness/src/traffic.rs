@@ -12,42 +12,29 @@
 //! ledgers per-request outcomes into a latency histogram and SLO
 //! counters.
 //!
-//! Determinism: unit seeds come from the batched `split_seed` stream,
-//! arrival schedules and session randomness are derived per unit, and
-//! units fold in index order through [`run_chunk_fold`] — the report and
-//! the metrics registry are byte-identical at any thread count and chunk
-//! size.
+//! Units run on the shared [`driver`](crate::driver), which owns seeds,
+//! fold order and determinism.
 
+use crate::driver::{
+    self, fold_stats, ledger_names, ledger_stats, ms, CampaignPlane, Headline, OpenLoopPlane,
+    OpenLoopSpec, Unit,
+};
 use crate::experiment::{cell_label, standard_env, StrategyKind};
 use faultstudy_apps::{spawn_app, Application, Request};
 use faultstudy_core::taxonomy::{AppKind, FaultClass};
-use faultstudy_exec::{run_chunk_fold, ParallelSpec};
+use faultstudy_env::Environment;
+use faultstudy_exec::ParallelSpec;
 use faultstudy_inject::{standard_plans, InjectionPlan, Injector};
 use faultstudy_obs::MetricsRegistry;
-use faultstudy_recovery::{BackoffPolicy, SupervisorConfig};
-use faultstudy_sim::rng::{split_seed, SplitSeedStream};
+use faultstudy_recovery::{BackoffPolicy, RecoveryStrategy, SupervisorConfig};
+use faultstudy_sim::rng::split_seed;
 use faultstudy_sim::time::Duration;
 use faultstudy_traffic::{run_open_loop, ArrivalKind, TrafficParams, UnitStats};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of a traffic campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrafficSpec {
-    /// Master seed; the campaign is a pure function of it.
-    pub seed: u64,
-    /// Total requests offered across the whole campaign, spread evenly
-    /// over the units (earlier units absorb the remainder).
-    pub requests: u64,
-    /// Arrival-process family for every unit.
-    pub arrival: ArrivalKind,
-}
-
-impl Default for TrafficSpec {
-    fn default() -> Self {
-        TrafficSpec { seed: 1, requests: 20_000, arrival: ArrivalKind::Poisson }
-    }
-}
+pub type TrafficSpec = OpenLoopSpec;
 
 /// One `(plan, strategy, application)` unit of the campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,11 +60,6 @@ pub struct TrafficReport {
     pub spec: TrafficSpec,
     /// Every unit, in `(plan, strategy, app)` enumeration order.
     pub cells: Vec<TrafficCell>,
-}
-
-/// Units per campaign: every plan × strategy × application.
-fn unit_count(plans: usize) -> usize {
-    plans * StrategyKind::ALL.len() * AppKind::ALL.len()
 }
 
 /// The supervised-serving configuration of every traffic unit.
@@ -156,18 +138,34 @@ pub(crate) fn traffic_mix(
     }
 }
 
-/// One campaign unit: fresh environment and application, the plan's
-/// injector on the pre-attempt hook, and an open-loop request stream.
-fn run_unit(
+/// A finished single-application open-loop unit.
+pub(crate) struct Served {
+    /// The unit's environment, metrics sink included.
+    pub env: Environment,
+    /// The application, in its final state.
+    pub app: Box<dyn Application>,
+    /// The unit's request ledger.
+    pub stats: UnitStats,
+    /// Injection events that came due and were applied.
+    pub injected: usize,
+}
+
+/// The single-application open-loop unit the traffic, micro and
+/// oblivious planes share: a fresh environment and application (with the
+/// plan's companion defect armed on MiniWeb), the plan's injector on the
+/// pre-attempt hook, and an open-loop request stream served under
+/// `strategy`. Backoff, arrival and session seeds are
+/// `split_seed(unit_seed, 1..=3)`.
+pub(crate) fn serve(
     plan: &InjectionPlan,
-    strategy: StrategyKind,
     app_kind: AppKind,
+    strategy: &mut dyn RecoveryStrategy,
     requests: u64,
     arrival: ArrivalKind,
     unit_seed: u64,
-    instrumented: bool,
-) -> (TrafficCell, Option<MetricsRegistry>) {
-    let mut env = standard_env(unit_seed, instrumented);
+    metrics: bool,
+) -> Served {
+    let mut env = standard_env(unit_seed, metrics);
     let mut app = spawn_app(app_kind, &mut env);
     if app_kind == AppKind::Apache {
         app.arm_defect(&plan.companion_defect)
@@ -175,13 +173,12 @@ fn run_unit(
     }
     let mix = traffic_mix(app.as_ref(), app_kind, plan);
     let mut injector = Injector::new(plan, &mut env);
-    let mut strat = strategy.build();
     let config = traffic_config(split_seed(unit_seed, 1));
     let params = TrafficParams::standard(arrival, requests);
     let stats = run_open_loop(
         app.as_mut(),
         &mut env,
-        strat.as_mut(),
+        strategy,
         &config,
         Some(&mut injector),
         &mix,
@@ -189,115 +186,94 @@ fn run_unit(
         split_seed(unit_seed, 2),
         split_seed(unit_seed, 3),
     );
-    let cell = TrafficCell {
-        app: app_kind,
-        plan: plan.name.clone(),
-        class: plan.class,
-        strategy,
-        injected: injector.applied(),
-        stats,
-    };
-    let metrics = instrumented.then(|| env.metrics.take().expect("metrics were enabled"));
-    (cell, metrics.filter(|reg| !reg.is_empty()))
+    Served { injected: injector.applied(), env, app, stats }
 }
 
-/// Ledgers a finished unit into the campaign registry under its interned
-/// `(class, strategy)` cell label.
-fn ledger_unit(registry: &mut MetricsRegistry, cell: &TrafficCell) {
-    let label = cell_label(cell.class, cell.strategy);
-    let s = &cell.stats;
-    registry.incr("traffic.offered", label, s.offered);
-    registry.incr("traffic.ok", label, s.ok);
-    registry.incr("traffic.denied", label, s.denied);
-    registry.incr("traffic.dropped", label, s.dropped);
-    registry.incr("traffic.slo.violations", label, s.slo_violations);
-    registry.incr("traffic.sim_nanos", label, s.sim_nanos);
-    registry.merge_histogram("traffic.latency", label, s.latency.clone());
+impl CampaignPlane for TrafficReport {
+    type Spec = TrafficSpec;
+    type Plan = InjectionPlan;
+    type Cell = TrafficCell;
+
+    /// Strategy × application.
+    const AXES: [usize; 2] = [StrategyKind::ALL.len(), AppKind::ALL.len()];
+
+    fn plans(spec: &TrafficSpec) -> Vec<InjectionPlan> {
+        standard_plans(spec.seed)
+    }
+
+    fn run_unit(
+        spec: &TrafficSpec,
+        unit: Unit<'_, InjectionPlan>,
+    ) -> (TrafficCell, Option<MetricsRegistry>) {
+        let strategy = StrategyKind::ALL[unit.axes[0]];
+        let app = AppKind::ALL[unit.axes[1]];
+        let mut served = serve(
+            unit.plan,
+            app,
+            strategy.build().as_mut(),
+            unit.requests,
+            spec.arrival,
+            unit.seed,
+            unit.instrumented,
+        );
+        let cell = TrafficCell {
+            app,
+            plan: unit.plan.name.clone(),
+            class: unit.plan.class,
+            strategy,
+            injected: served.injected,
+            stats: served.stats,
+        };
+        let metrics = unit.instrumented.then(|| served.env.metrics.take().expect("metrics on"));
+        (cell, metrics.filter(|reg| !reg.is_empty()))
+    }
+
+    /// Per-cell request ledgers under the interned `(class, strategy)`
+    /// label.
+    fn ledger(registry: &mut MetricsRegistry, cell: &TrafficCell) {
+        let label = cell_label(cell.class, cell.strategy);
+        ledger_stats(registry, ledger_names!("traffic"), label, &cell.stats);
+    }
+
+    fn assemble(spec: TrafficSpec, cells: Vec<TrafficCell>) -> Self {
+        TrafficReport { spec, cells }
+    }
+
+    fn anomalies(&self) -> Vec<String> {
+        TrafficReport::anomalies(self)
+    }
+}
+
+impl OpenLoopPlane for TrafficReport {
+    fn headline(&self) -> Headline {
+        let t = self.totals();
+        Headline {
+            section: "ledger",
+            summary: serde_json::json!({
+                "offered": t.offered,
+                "answered": t.answered(),
+                "availability_pct": 100.0 * t.availability(),
+                "dropped": t.dropped,
+                "slo_violations": t.slo_violations,
+                "p99_ns": t.latency.p99(),
+                "p999_ns": t.latency.p999(),
+            }),
+            tracked: &[],
+        }
+    }
+}
+
+driver::entry_points! {
+    /// The registry carries per-cell request ledgers (`traffic.offered`,
+    /// `traffic.ok`, `traffic.denied`, `traffic.dropped`,
+    /// `traffic.slo.violations`, `traffic.sim_nanos`), the merged per-cell
+    /// latency histograms (`traffic.latency`), and everything the
+    /// environment's own sink recorded (supervisor hardening counters,
+    /// recovery TTR spans, injector applications).
+    TrafficReport(TrafficSpec)
 }
 
 impl TrafficReport {
-    /// Runs the campaign with the host's available parallelism.
-    pub fn run(spec: TrafficSpec) -> TrafficReport {
-        Self::run_with(spec, ParallelSpec::default())
-    }
-
-    /// Runs the campaign on `parallel` worker threads.
-    pub fn run_with(spec: TrafficSpec, parallel: ParallelSpec) -> TrafficReport {
-        Self::run_units(spec, parallel, false).0
-    }
-
-    /// Runs the campaign with per-unit metrics enabled, returning the
-    /// merged registry alongside the (unchanged) report.
-    ///
-    /// The registry carries per-cell request ledgers (`traffic.offered`,
-    /// `traffic.ok`, `traffic.denied`, `traffic.dropped`,
-    /// `traffic.slo.violations`, `traffic.sim_nanos`), the merged
-    /// per-cell latency histograms (`traffic.latency`), and everything
-    /// the environment's own sink recorded (supervisor hardening
-    /// counters, recovery TTR spans, injector applications). Registries
-    /// merge in unit-index order, so the result is byte-identical at any
-    /// thread count.
-    pub fn run_instrumented(
-        spec: TrafficSpec,
-        parallel: ParallelSpec,
-    ) -> (TrafficReport, MetricsRegistry) {
-        Self::run_units(spec, parallel, true)
-    }
-
-    fn run_units(
-        spec: TrafficSpec,
-        parallel: ParallelSpec,
-        instrumented: bool,
-    ) -> (TrafficReport, MetricsRegistry) {
-        struct Acc {
-            cells: Vec<TrafficCell>,
-            registry: MetricsRegistry,
-        }
-        let plans = standard_plans(spec.seed);
-        let units = unit_count(plans.len());
-        let per_app = AppKind::ALL.len();
-        let per_plan = StrategyKind::ALL.len() * per_app;
-        let base_requests = spec.requests / units as u64;
-        let remainder = spec.requests % units as u64;
-        let acc = run_chunk_fold(
-            units,
-            parallel,
-            || Acc { cells: Vec::new(), registry: MetricsRegistry::new() },
-            |range, acc: &mut Acc| {
-                // One batched seed stream per chunk: the worker derives
-                // consecutive unit seeds without per-unit rederivation.
-                let mut seeds = SplitSeedStream::new(spec.seed, range.start as u64);
-                for index in range {
-                    let plan = &plans[index / per_plan];
-                    let strategy = StrategyKind::ALL[(index % per_plan) / per_app];
-                    let app_kind = AppKind::ALL[index % per_app];
-                    let requests = base_requests + u64::from((index as u64) < remainder);
-                    let (cell, metrics) = run_unit(
-                        plan,
-                        strategy,
-                        app_kind,
-                        requests,
-                        spec.arrival,
-                        seeds.next_seed(),
-                        instrumented,
-                    );
-                    if let Some(reg) = &metrics {
-                        acc.registry.merge_from(reg);
-                    }
-                    if instrumented {
-                        ledger_unit(&mut acc.registry, &cell);
-                    }
-                    acc.cells.push(cell);
-                }
-            },
-            |acc, later| {
-                acc.cells.extend(later.cells);
-                acc.registry.merge_from(&later.registry);
-            },
-        );
-        (TrafficReport { spec, cells: acc.cells }, acc.registry)
-    }
-
     /// The unit for `(plan, strategy, app)`, if the plan exists.
     pub fn cell(&self, plan: &str, strategy: StrategyKind, app: AppKind) -> Option<&TrafficCell> {
         self.cells.iter().find(|c| c.plan == plan && c.strategy == strategy && c.app == app)
@@ -306,32 +282,19 @@ impl TrafficReport {
     /// The folded ledger of every unit of `class` under `strategy`,
     /// across all plans and applications.
     pub fn class_stats(&self, class: FaultClass, strategy: StrategyKind) -> UnitStats {
-        let mut total = UnitStats::default();
-        for cell in &self.cells {
-            if cell.class == class && cell.strategy == strategy {
-                total.absorb(&cell.stats);
-            }
-        }
-        total
+        let cells = self.cells.iter().filter(|c| c.class == class && c.strategy == strategy);
+        fold_stats(cells.map(|c| &c.stats))
     }
 
     /// The folded ledger of the whole campaign.
     pub fn totals(&self) -> UnitStats {
-        let mut total = UnitStats::default();
-        for cell in &self.cells {
-            total.absorb(&cell.stats);
-        }
-        total
+        fold_stats(self.cells.iter().map(|c| &c.stats))
     }
 
     /// Fraction of offered requests in `(class, strategy)` that missed
     /// the SLO — violations plus drops over offered, in [0, 1].
     pub fn slo_miss_rate(&self, class: FaultClass, strategy: StrategyKind) -> f64 {
-        let stats = self.class_stats(class, strategy);
-        if stats.offered == 0 {
-            return 0.0;
-        }
-        (stats.slo_violations + stats.dropped) as f64 / stats.offered as f64
+        self.class_stats(class, strategy).slo_miss_rate()
     }
 
     /// Violations of the campaign's class contract: EI triggers must
@@ -366,21 +329,9 @@ impl TrafficReport {
     }
 }
 
-/// Nanoseconds rendered as fractional milliseconds for the SLO table.
-fn ms(nanos: Option<u64>) -> f64 {
-    nanos.unwrap_or(0) as f64 / 1e6
-}
-
 impl fmt::Display for TrafficReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Traffic campaign: {} requests offered over {} units ({} arrivals, seed {})",
-            self.spec.requests,
-            self.cells.len(),
-            self.spec.arrival.name(),
-            self.spec.seed
-        )?;
+        driver::write_title(f, "Traffic", &self.spec, self.cells.len())?;
         writeln!(
             f,
             "  {:<12} {:<13} {:>9} {:>7} {:>10} {:>9} {:>9} {:>7}",
@@ -406,22 +357,9 @@ impl fmt::Display for TrafficReport {
                 )?;
             }
         }
-        let t = self.totals();
-        writeln!(
-            f,
-            "  total: {} offered, {} answered ({:.2}%), {} dropped, {} SLO violations",
-            t.offered,
-            t.answered(),
-            100.0 * t.availability(),
-            t.dropped,
-            t.slo_violations
-        )?;
-        let anomalies = self.anomalies();
-        if anomalies.is_empty() {
-            writeln!(f, "  no anomalies: degradation and recovery matched the class contract")
-        } else {
-            writeln!(f, "  ANOMALIES: {anomalies:?}")
-        }
+        driver::write_total(f, &self.totals(), true)?;
+        let clean = "degradation and recovery matched the class contract";
+        driver::write_verdict(f, &self.anomalies(), clean)
     }
 }
 
@@ -454,15 +392,7 @@ mod tests {
 
     #[test]
     fn reports_are_reproducible_and_thread_invariant() {
-        let spec = small_spec(7);
-        let reference = TrafficReport::run_with(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let report = TrafficReport::run_with(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, reference, "{threads} threads");
-        }
-        // Chunk size must not matter either.
-        let chunked = TrafficReport::run_with(spec, ParallelSpec::threads(2).with_chunk(7));
-        assert_eq!(chunked, reference);
+        driver::tests::assert_thread_invariant::<TrafficReport>(small_spec(7), false);
     }
 
     #[test]
@@ -508,15 +438,7 @@ mod tests {
 
     #[test]
     fn instrumented_registry_is_identical_across_thread_counts() {
-        let spec = small_spec(2);
-        let (ref_report, ref_registry) =
-            TrafficReport::run_instrumented(spec, ParallelSpec::threads(1));
-        for threads in [2usize, 4] {
-            let (report, registry) =
-                TrafficReport::run_instrumented(spec, ParallelSpec::threads(threads));
-            assert_eq!(report, ref_report, "{threads} threads");
-            assert_eq!(registry, ref_registry, "{threads} threads");
-        }
+        driver::tests::assert_thread_invariant::<TrafficReport>(small_spec(2), true);
     }
 
     #[test]

@@ -96,6 +96,15 @@ impl UnitStats {
         self.ok as f64 * 1e9 / self.sim_nanos as f64
     }
 
+    /// Fraction of offered requests that missed the SLO — violations
+    /// plus drops over offered, in [0, 1]; zero when nothing was offered.
+    pub fn slo_miss_rate(&self) -> f64 {
+        if self.offered == 0 {
+            return 0.0;
+        }
+        (self.slo_violations + self.dropped) as f64 / self.offered as f64
+    }
+
     /// Folds `other` into `self` (ledgers add, histograms merge).
     pub fn absorb(&mut self, other: &UnitStats) {
         self.offered += other.offered;

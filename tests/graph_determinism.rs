@@ -11,6 +11,9 @@
 //! downstream load — the db tier serves measurably more requests than
 //! the client chains first demanded.
 
+mod common;
+
+use common::fnv1a64;
 use faultstudy::core::taxonomy::FaultClass;
 use faultstudy::exec::ParallelSpec;
 use faultstudy::graph::PlaneKind;
@@ -118,13 +121,6 @@ fn defects_defeat_both_recovery_planes() {
         assert!(ei.dropped > 0, "{}: defects must drop requests", plane.name());
         assert!(ei.availability() < 1.0, "{}: availability must stay degraded", plane.name());
     }
-}
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Cross-commit golden: the report's JSON followed by its rendered table
