@@ -3,7 +3,7 @@
 //! plan armed on the wire and one of two recovery planes answering.
 //!
 //! The engine mirrors the single-app open-loop engine event for event —
-//! sessions arrive on the timing wheel, think, and issue requests — but
+//! sessions arrive on the event scheduler, think, and issue requests — but
 //! each request is served by [`serve_chain`]: a client-level retry loop
 //! around a web-tier call that may itself run a web-level retry loop
 //! around the db sub-call. Both loops share ONE [`ChainDeadline`], so a

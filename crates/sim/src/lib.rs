@@ -13,10 +13,8 @@
 //!
 //! - [`time`] — logical time ([`SimTime`], [`Duration`]) and the clock.
 //! - [`rng`] — SplitMix64 and xoshiro256\*\* deterministic PRNGs.
-//! - [`queue`] — the timestamped event queue with stable FIFO tie-breaking.
-//! - [`wheel`] — the hierarchical timing wheel: O(1) scheduling for the
-//!   traffic engine's million-event streams, same ordering contract as
-//!   [`queue`].
+//! - [`wheel`] — the event scheduler: a binary heap on `(time, seq)` with
+//!   stable FIFO tie-breaking, drained by the open-loop engines.
 //! - [`sched`] — a cooperative step scheduler with controllable
 //!   interleavings, used to reproduce race-condition faults.
 //! - [`trace`] — bounded in-memory trace ring for debugging experiments.
@@ -24,26 +22,24 @@
 //! # Example
 //!
 //! ```
-//! use faultstudy_sim::{queue::EventQueue, time::SimTime};
+//! use faultstudy_sim::{time::SimTime, wheel::TimingWheel};
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::from_millis(5), "second");
-//! q.schedule(SimTime::from_millis(1), "first");
-//! let (t, ev) = q.pop().unwrap();
+//! let mut wheel = TimingWheel::new();
+//! wheel.schedule(SimTime::from_millis(5), "second");
+//! wheel.schedule(SimTime::from_millis(1), "first");
+//! let (t, ev) = wheel.pop().unwrap();
 //! assert_eq!((t, ev), (SimTime::from_millis(1), "first"));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use queue::EventQueue;
 pub use rng::{DetRng, SplitMix64, Xoshiro256StarStar};
 pub use sched::{Interleaver, StepOutcome, StepScheduler, Task, TaskId};
 pub use time::{Clock, Duration, SimTime};

@@ -1,6 +1,5 @@
 //! Property tests for the simulation substrate.
 
-use faultstudy_sim::queue::EventQueue;
 use faultstudy_sim::rng::{DetRng, SplitMix64, Xoshiro256StarStar};
 use faultstudy_sim::sched::{Interleaver, StepOutcome, StepScheduler, Task};
 use faultstudy_sim::time::{Clock, Duration, SimTime};
@@ -9,9 +8,8 @@ use faultstudy_sim::wheel::TimingWheel;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Offsets that exercise every wheel regime: same-tick ties (0), level-0
-/// slots, mid-level cascades, and the far-future overflow ring beyond the
-/// ~69 s horizon.
+/// Offsets across the scheduler's range: same-tick ties (0), nanosecond
+/// gaps, sub-second think times, and backlogged times minutes ahead.
 fn wheel_offset(selector: u8, raw: u64) -> u64 {
     match selector % 4 {
         0 => 0,
@@ -88,10 +86,11 @@ proptest! {
         prop_assert_eq!(shuffled, items);
     }
 
-    /// Draining a queue yields exactly the scheduled events, time-ordered.
+    /// Draining the scheduler yields exactly the scheduled events,
+    /// time-ordered.
     #[test]
     fn queue_drains_everything_in_order(times in prop::collection::vec(0u64..1000, 0..80)) {
-        let mut q = EventQueue::new();
+        let mut q = TimingWheel::new();
         for (i, t) in times.iter().enumerate() {
             q.schedule(SimTime::from_micros(*t), i);
         }
@@ -132,8 +131,8 @@ proptest! {
     }
 
     /// Differential check: for arbitrary schedules — same-tick ties,
-    /// near and far offsets, pops interleaved with schedules — the timing
-    /// wheel pops exactly what a `BTreeMap<(time, seq), _>` reference
+    /// near and far offsets, pops interleaved with schedules — the
+    /// scheduler pops exactly what a `BTreeMap<(time, seq), _>` reference
     /// pops, in the same order.
     #[test]
     fn wheel_matches_btreemap_reference(

@@ -1,5 +1,5 @@
-//! The open-loop engine: a timing wheel full of arrivals drained through
-//! the per-request supervisor.
+//! The open-loop engine: an event scheduler full of arrivals drained
+//! through the per-request supervisor.
 //!
 //! Open-loop means arrivals never wait for the server: session starts
 //! are scheduled by the arrival process regardless of how far behind the
@@ -134,8 +134,10 @@ enum Event {
 /// returning the request ledger.
 ///
 /// The request mix is prepared once by the caller and picked from by
-/// index per request, so the hot loop allocates nothing of its own;
-/// session slots are slab-recycled and the wheel reuses slot buffers.
+/// index per request, so the loop itself allocates nothing per request:
+/// session slots are slab-recycled, and the scheduler's heap only grows
+/// to the unit's peak queue length (one pending event per live session,
+/// plus the next session start).
 /// `arrival_seed` and `session_master` are independent `split_seed`
 /// derivations of the unit's seed.
 #[allow(clippy::too_many_arguments)]

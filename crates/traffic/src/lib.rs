@@ -3,14 +3,15 @@
 //! The fault study's original harness replayed a fixed workload slice per
 //! experiment rep. This crate replaces that with *traffic*: an open-loop
 //! stream of user sessions whose arrivals, request mixes, and think times
-//! are all pure functions of a seed, scheduled on a hierarchical timing
-//! wheel and served one request at a time through the recovery
-//! supervisor. Because the whole stream lives in simulated time, a unit
-//! offering a million requests runs in well under a second of wall time
-//! and replays byte-identically at any thread count.
+//! are all pure functions of a seed, scheduled on a `(time, seq)`
+//! binary-heap event scheduler and served one request at a time through
+//! the recovery supervisor. Because the whole stream lives in simulated
+//! time, a unit offering a million requests runs in well under a second
+//! of wall time and replays byte-identically at any thread count.
 //!
-//! - [`wheel`](faultstudy_sim::wheel) (in `faultstudy-sim`) — the O(1)
-//!   event scheduler the engine drains.
+//! - [`wheel`](faultstudy_sim::wheel) (in `faultstudy-sim`) — the
+//!   event scheduler the engine drains: a min-heap on `(time, seq)`,
+//!   FIFO among same-instant events.
 //! - [`arrival`] — Poisson, bursty on/off, and diurnal arrival processes
 //!   derived from `split_seed`.
 //! - [`session`] — user sessions: a burst of requests with exponential

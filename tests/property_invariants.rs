@@ -9,9 +9,9 @@ use faultstudy::env::fs::VirtualFs;
 use faultstudy::env::Environment;
 use faultstudy::env::OwnerId;
 use faultstudy::mining::dedup::dedup_reports;
-use faultstudy::sim::queue::EventQueue;
 use faultstudy::sim::rng::{DetRng, Xoshiro256StarStar};
 use faultstudy::sim::time::SimTime;
+use faultstudy::sim::wheel::TimingWheel;
 use faultstudy_apps::{Application, MiniDb, Request};
 use faultstudy_core::report::BugReport;
 use faultstudy_core::taxonomy::{AppKind, Severity};
@@ -105,13 +105,13 @@ proptest! {
         }
     }
 
-    /// Event queue pops are globally time-ordered and FIFO within a
+    /// Event scheduler pops are globally time-ordered and FIFO within a
     /// timestamp.
     #[test]
     fn event_queue_is_a_stable_priority_queue(
         events in prop::collection::vec(0u64..50, 1..100)
     ) {
-        let mut q = EventQueue::new();
+        let mut q = TimingWheel::new();
         for (i, t) in events.iter().enumerate() {
             q.schedule(SimTime::from_millis(*t), (SimTime::from_millis(*t), i));
         }
