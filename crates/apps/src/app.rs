@@ -4,6 +4,7 @@ use faultstudy_core::taxonomy::AppKind;
 use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::CrashOnly;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// One workload request to an application.
@@ -49,13 +50,17 @@ impl fmt::Display for Request {
 }
 
 /// A successful (or gracefully failed) response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The payload is a `Cow` so that a fixed reply (`"probe passed"`,
+/// `"pong"`) is a borrowed static string and costs no allocation; only
+/// replies built with `format!` own their text.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// The request was served; payload is application-specific.
-    Ok(String),
+    Ok(Cow<'static, str>),
     /// The application detected a problem and reported it without failing
     /// (e.g. an SQL syntax error). Not a fault manifestation.
-    Denied(String),
+    Denied(Cow<'static, str>),
 }
 
 impl Response {

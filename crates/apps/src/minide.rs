@@ -16,6 +16,7 @@ use faultstudy_env::{Environment, OwnerId};
 use faultstudy_micro::{ComponentDesc, CrashOnly, StateKind};
 use faultstudy_sim::time::Duration;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// The checkpointable state of the desktop.
@@ -67,7 +68,7 @@ impl MiniDe {
         self.state.enabled_bugs.contains(slug)
     }
 
-    fn ok(&mut self, msg: impl Into<String>) -> Result<Response, AppFailure> {
+    fn ok(&mut self, msg: impl Into<Cow<'static, str>>) -> Result<Response, AppFailure> {
         self.state.actions += 1;
         Ok(Response::Ok(msg.into()))
     }
@@ -129,7 +130,7 @@ impl MiniDe {
             Err(FsError::CorruptMetadata(_)) if self.bug("gnome-edn-03") => Err(AppFailure::Crash(
                 format!("properties dialog crashed on illegal owner field of {path}"),
             )),
-            Err(e) => Ok(Response::Denied(format!("cannot stat {path}: {e}"))),
+            Err(e) => Ok(Response::Denied(format!("cannot stat {path}: {e}").into())),
         }
     }
 
@@ -215,7 +216,7 @@ impl Application for MiniDe {
             }
             "VIEW-AND-EDIT" => self.race("gnome-edt-02", "image view with property edit", env),
             "REMOVE-APPLET" => self.race("gnome-edt-03", "applet removal", env),
-            other => Ok(Response::Denied(format!("no such action: {other}"))),
+            other => Ok(Response::Denied(format!("no such action: {other}").into())),
         }
     }
 

@@ -154,15 +154,30 @@ impl VirtualFs {
 
     /// Appends `bytes` to the file at `path`, creating it if absent.
     ///
+    /// An existing file grows in place, so the path is only borrowed and
+    /// an append to a log allocates nothing; an absent file is created
+    /// through [`VirtualFs::write`].
+    ///
     /// # Errors
     ///
     /// Same conditions as [`VirtualFs::write`], evaluated against the
     /// resulting size.
-    pub fn append(&mut self, path: impl Into<String>, bytes: u64) -> Result<(), FsError> {
-        let path = path.into();
-        let old = self.files.get(&path).map(|m| m.size).unwrap_or(0);
-        let new = old.saturating_add(bytes);
-        self.write(path, new)
+    pub fn append(&mut self, path: &str, bytes: u64) -> Result<(), FsError> {
+        let (free, max) = (self.free(), self.max_file_size);
+        let Some(meta) = self.files.get_mut(path) else {
+            return self.write(path, bytes);
+        };
+        let new = meta.size.saturating_add(bytes);
+        if new > max {
+            return Err(FsError::FileTooLarge { would_be: new, max });
+        }
+        let grow = new - meta.size;
+        if grow > free {
+            return Err(FsError::NoSpace { requested: grow, free });
+        }
+        meta.size = new;
+        self.used += grow;
+        Ok(())
     }
 
     /// Removes the file at `path`, reclaiming its space.
@@ -315,6 +330,40 @@ mod tests {
         assert!(f.append("log", 101).is_err());
         f.append("log", 100).unwrap();
         assert_eq!(f.stat("log").unwrap().size, 400);
+    }
+
+    #[test]
+    fn append_matches_write_of_the_grown_size() {
+        // Every outcome of an append equals `write(path, old + n)`, on
+        // the result and on the whole filesystem afterwards: success,
+        // `FileTooLarge` (also on a saturated size, and ahead of
+        // `NoSpace` when both apply), and `NoSpace`. `old == 0` is an
+        // absent file.
+        let too_large = |would_be| Err(FsError::FileTooLarge { would_be, max: 400 });
+        let no_space = |requested, free| Err(FsError::NoSpace { requested, free });
+        let cases = [
+            (10, 5, Ok(())),
+            (10, 391, too_large(401)),
+            (10, u64::MAX, too_large(u64::MAX)),
+            (100, 250, no_space(250, 200)),
+            (200, 250, too_large(450)),
+            (0, 7, Ok(())),
+            (0, 350, no_space(350, 300)),
+            (0, 401, too_large(401)),
+        ];
+        for (old, n, expected) in cases {
+            // 500 bytes, 200 of them taken by another file.
+            let mut base = VirtualFs::new(500, 400);
+            base.write("other", 200).unwrap();
+            if old > 0 {
+                base.write("log", old).unwrap();
+            }
+            let (mut appended, mut written) = (base.clone(), base);
+            let via_append = appended.append("log", n);
+            assert_eq!(via_append, expected, "append({old}, {n})");
+            assert_eq!(via_append, written.write("log", old.saturating_add(n)));
+            assert_eq!(appended, written, "append({old}, {n})");
+        }
     }
 
     #[test]

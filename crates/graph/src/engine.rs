@@ -293,15 +293,14 @@ pub fn degenerate_config() -> SupervisorConfig {
     }
 }
 
-/// Wheel payload of the graph engine.
+/// Wheel payload of the graph engine. The operator-console probe runs
+/// beside the wheel, not on it (see [`run_graph`]).
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// A new user session arrives.
     SessionStart,
     /// An existing session issues its next request after think time.
     Next(u32),
-    /// The operator console probes the web tier.
-    Probe,
 }
 
 /// How one chain ended.
@@ -323,6 +322,14 @@ struct ChainCtx {
 /// Drives one unit of open-loop traffic across the graph under `plan`,
 /// with `plane` answering channel faults and `retry_budget` retries
 /// available at each level of the chain.
+///
+/// The operator console probes every [`PROBE_EVERY`] of simulated time
+/// until the last request is offered. Sessions run on the event wheel;
+/// the probe runs beside it as one pending `(time, seq)` key, merged
+/// with the wheel's next key so that it fires in the order a wheel entry
+/// would have. A backlogged unit probes about five times per request,
+/// and this way a probe costs neither a heap push and pop nor an
+/// allocation.
 ///
 /// A single-node graph short-circuits into the single-app open-loop
 /// engine with [`degenerate_config`] and [`web_mix`] — no channels, no
@@ -387,8 +394,26 @@ pub fn run_graph(
     let start = env.now();
     let gap = arrivals.next_gap(start);
     wheel.schedule(start.saturating_add(gap), Event::SessionStart);
-    wheel.schedule(start.saturating_add(PROBE_EVERY), Event::Probe);
-    while let Some((at, event)) = wheel.pop() {
+    // The pending probe's `(time in nanoseconds, seq)` key. Its sequence
+    // number comes from the wheel's own counter, so the probe fires exactly
+    // where a wheel entry scheduled at the same point would pop: whenever
+    // its key is below the wheel's next one.
+    let mut next_probe = Some((start.saturating_add(PROBE_EVERY).as_nanos(), wheel.reserve_seq()));
+    loop {
+        if let Some((probe_at, _)) =
+            next_probe.filter(|&key| wheel.peek_key().is_none_or(|top| key < top))
+        {
+            let at = SimTime::from_nanos(probe_at);
+            if env.now() < at {
+                env.advance(at.saturating_since(env.now()));
+            }
+            graph.apply_due(plan, env.now());
+            probe(graph, env, &probe_req, &mut stats);
+            next_probe = (stats.base.offered < params.requests)
+                .then(|| (at.saturating_add(PROBE_EVERY).as_nanos(), wheel.reserve_seq()));
+            continue;
+        }
+        let Some((at, event)) = wheel.pop() else { break };
         let sid = match event {
             Event::SessionStart => {
                 let size = (params.requests - allotted).min(u64::from(per_session)) as u32;
@@ -410,17 +435,6 @@ pub fn run_graph(
                 }
             }
             Event::Next(sid) => sid,
-            Event::Probe => {
-                if env.now() < at {
-                    env.advance(at.saturating_since(env.now()));
-                }
-                graph.apply_due(plan, env.now());
-                probe(graph, env, &probe_req, &mut stats);
-                if stats.base.offered < params.requests {
-                    wheel.schedule(at.saturating_add(PROBE_EVERY), Event::Probe);
-                }
-                continue;
-            }
         };
         if env.now() < at {
             env.advance(at.saturating_since(env.now()));
@@ -462,7 +476,9 @@ pub fn run_graph(
 /// One operator-console probe: minide sends a probe over its edge, the
 /// web tier answers. No fault kind targets this edge; the probe keeps
 /// the console channel live and measures that the graph stays responsive
-/// to operators while the data plane is under fault.
+/// to operators while the data plane is under fault. A probe allocates
+/// nothing: `req` is built once per unit, the wire carries a static body,
+/// and a healthy web tier's reply body is static too.
 fn probe(
     graph: &mut ServiceGraph,
     env: &mut Environment,

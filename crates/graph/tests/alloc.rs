@@ -1,15 +1,18 @@
 //! Allocation pins for the graph wire path, counted by a global
 //! allocator that this test binary alone installs.
 //!
-//! Two things are pinned. A warmed channel's `send` + `fault_for` +
+//! Three things are pinned. A warmed channel's `send` + `fault_for` +
 //! `recv` allocates nothing: payloads are `&'static str`, so the queue
-//! moves a pointer. And a whole campaign unit allocates at most one
-//! allocation per operator-console probe (miniweb's reply `String`) plus
-//! five per offered request — the console probe reuses one `Request`
-//! per unit and puts a static body on the wire. The two units are the
-//! campaign's seed-2000 cells most exposed to each cost: a backlogged
-//! defect unit that probes thousands of times, and a one-shot unit whose
-//! retries re-drive every hop of the chain.
+//! moves a pointer. A healthy miniweb answers the operator console's
+//! `PROBE console` without allocating: its reply body is static. And a
+//! whole campaign unit allocates at most five times per offered request,
+//! with nothing allowed for its probes, of which a backlogged unit runs
+//! about five per request: the probe reuses one `Request` per unit, puts
+//! a static body on the wire, gets a static reply and never touches the
+//! event heap. The two units are the campaign's seed-2000 cells most
+//! exposed to each cost: a backlogged defect unit that probes thousands
+//! of times, and a one-shot unit whose retries re-drive every hop of the
+//! chain.
 //!
 //! The file holds a single test so no other test's allocations land in
 //! the shared counter.
@@ -17,6 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use faultstudy_apps::{Application, MiniWeb, Request};
 use faultstudy_env::Environment;
 use faultstudy_graph::{
     graph_plans, run_graph, Channel, ChannelFaultKind, GraphUnitStats, Leg, PlaneKind, ServiceGraph,
@@ -118,6 +122,15 @@ fn graph_wire_path_stays_within_its_allocation_budget() {
     });
     assert_eq!(steady, 0, "a warmed channel's transfers must not allocate");
 
+    let mut env = Environment::builder().seed(1).build();
+    let mut web = MiniWeb::new(&mut env);
+    let probe = Request::new("PROBE console");
+    let (answers, probe_allocs) = allocs_in(|| {
+        (0..1_000).filter(|_| web.handle(&probe, &mut env).is_ok_and(|r| r.is_ok())).count()
+    });
+    assert_eq!(answers, 1_000, "a healthy web tier passes every probe");
+    assert_eq!(probe_allocs, 0, "a probe's reply must not allocate");
+
     let units = [
         (ChannelFaultKind::R1UnmappedReceiverSlot, PlaneKind::Process, 1),
         (ChannelFaultKind::S1SenderPageFault, PlaneKind::Channel, 3),
@@ -125,7 +138,7 @@ fn graph_wire_path_stays_within_its_allocation_budget() {
     for (kind, plane, budget) in units {
         let (stats, allocs) = campaign_unit(kind, plane, budget);
         assert_eq!(stats.base.offered, 600);
-        let bound = stats.probes + 5 * stats.base.offered;
+        let bound = 5 * stats.base.offered;
         assert!(
             allocs <= bound,
             "{kind}/{}/b{budget}: {allocs} allocations over a bound of {bound} \

@@ -5,17 +5,24 @@
 //! the sequence number it was scheduled with, and the heap orders on the
 //! pair, so `schedule` and `pop` are O(log n) over a queue that never
 //! holds more than one pending event per live session plus the arrival
-//! and probe events — tens to about a thousand entries, where a heap's
-//! depth is small. The heap's buffer is its only allocation: it grows by
-//! doubling to the unit's peak queue length and is then reused, so a
-//! steady-state `pop` + `schedule` pair allocates nothing at any time
-//! horizon.
+//! event — tens to about a thousand entries, where a heap's depth is
+//! small. The heap's buffer is its only allocation: it grows by doubling
+//! to the unit's peak queue length and is then reused, so a steady-state
+//! `pop` + `schedule` pair allocates nothing at any time horizon.
 //!
 //! Determinism contract: events scheduled for the same instant pop in
 //! scheduling order (FIFO), so a scheduler-driven simulation is a pure
 //! function of its inputs. The property tests pin the pop order against
 //! a `BTreeMap<(time, seq), _>` reference for arbitrary schedules,
 //! including same-tick ties and far-future times.
+//!
+//! A periodic timer that fires far more often than anything else need
+//! not go through the heap at all. The graph engine's operator-console
+//! probe is one: it keeps its single pending firing as a `(time, seq)`
+//! key beside the heap, draws the `seq` from [`TimingWheel::reserve_seq`]
+//! where it would have scheduled, and fires whenever its key is below
+//! [`TimingWheel::peek_key`]. The merged order is the order the heap
+//! would have produced; a property test pins that too.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -121,8 +128,7 @@ impl<T> TimingWheel<T> {
     pub fn schedule(&mut self, at: SimTime, item: T) {
         let at = at.as_nanos();
         assert!(at >= self.now, "event at {at} scheduled before wheel time {}", self.now);
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.reserve_seq();
         self.heap.push(Pending { at, seq, item });
     }
 
@@ -133,6 +139,22 @@ impl<T> TimingWheel<T> {
         let Pending { at, item, .. } = self.heap.pop()?;
         self.now = at;
         Some((SimTime::from_nanos(at), item))
+    }
+
+    /// The `(time in nanoseconds, sequence number)` key of the event
+    /// [`TimingWheel::pop`] would return next, without removing it.
+    pub fn peek_key(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|p| (p.at, p.seq))
+    }
+
+    /// Takes the next sequence number without scheduling anything, for a
+    /// timer the caller keeps outside the heap. A key `(at, seq)` built
+    /// from it orders against [`TimingWheel::peek_key`] exactly as the
+    /// same event scheduled here at `at` would have popped.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
 }
 
@@ -189,6 +211,21 @@ mod tests {
         wheel.schedule(SimTime::from_nanos(11), "c");
         assert_eq!(wheel.pop(), Some((SimTime::from_nanos(10), "b")));
         assert_eq!(wheel.pop(), Some((SimTime::from_nanos(11), "c")));
+    }
+
+    #[test]
+    fn reserved_keys_order_against_the_heap_top() {
+        let mut wheel = TimingWheel::new();
+        assert_eq!(wheel.peek_key(), None);
+        wheel.schedule(SimTime::from_nanos(20), "a");
+        let timer = (20, wheel.reserve_seq());
+        wheel.schedule(SimTime::from_nanos(20), "b");
+        // Same instant: the timer's reservation sits between "a" and "b".
+        assert_eq!(wheel.peek_key(), Some((20, 0)));
+        assert!(timer > wheel.peek_key().unwrap());
+        assert_eq!(wheel.pop(), Some((SimTime::from_nanos(20), "a")));
+        assert!(timer < wheel.peek_key().unwrap());
+        assert_eq!(wheel.len(), 1, "peeking and reserving schedule nothing");
     }
 
     #[test]

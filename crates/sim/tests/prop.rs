@@ -19,6 +19,87 @@ fn wheel_offset(selector: u8, raw: u64) -> u64 {
     }
 }
 
+/// One firing of the periodic-timer differential: the instant and the
+/// ordinary event's id, or `None` for the periodic event.
+type Firing = (u64, Option<u32>);
+
+/// Schedules the ordinary events one script step asks for at `now`:
+/// `count` events, each on the periodic grid (a forced tie with the
+/// periodic event, if it is still armed then) or at an ordinary offset.
+fn spawn(
+    (selector, raw, count): (u8, u64, u8),
+    now: u64,
+    period: u64,
+    next_id: &mut u32,
+    mut schedule: impl FnMut(SimTime, u32),
+) {
+    for j in 0..u64::from(count) {
+        let raw = raw.wrapping_add(j);
+        let at = if selector % 2 == 0 {
+            now.div_ceil(period) * period + period * (raw % 3)
+        } else {
+            now + wheel_offset(selector / 2, raw)
+        };
+        schedule(SimTime::from_nanos(at), *next_id);
+        *next_id += 1;
+    }
+}
+
+/// The reference: the periodic event is an ordinary heap entry. Every
+/// firing consumes one script step; the periodic event re-arms while
+/// steps remain.
+fn periodic_on_heap(ops: &[(u8, u64, u8)], period: u64) -> Vec<Firing> {
+    let mut wheel: TimingWheel<Option<u32>> = TimingWheel::new();
+    let mut script = ops.iter();
+    let mut next_id = 1;
+    let mut fired = Vec::new();
+    wheel.schedule(SimTime::ZERO, Some(0));
+    wheel.schedule(SimTime::from_nanos(period), None);
+    while let Some((at, ev)) = wheel.pop() {
+        let now = at.as_nanos();
+        fired.push((now, ev));
+        if let Some(&op) = script.next() {
+            spawn(op, now, period, &mut next_id, |t, id| wheel.schedule(t, Some(id)));
+        }
+        if ev.is_none() && script.len() > 0 {
+            wheel.schedule(SimTime::from_nanos(now + period), None);
+        }
+    }
+    fired
+}
+
+/// The merge: the periodic event's one pending firing is a reserved
+/// `(time, seq)` key outside the heap, and fires whenever it is below
+/// the heap's top key.
+fn periodic_merged(ops: &[(u8, u64, u8)], period: u64) -> Vec<Firing> {
+    let mut wheel: TimingWheel<u32> = TimingWheel::new();
+    let mut script = ops.iter();
+    let mut next_id = 1;
+    let mut fired = Vec::new();
+    wheel.schedule(SimTime::ZERO, 0);
+    let mut periodic = Some((period, wheel.reserve_seq()));
+    loop {
+        let (now, ev) = match periodic {
+            Some(key) if wheel.peek_key().is_none_or(|top| key < top) => {
+                periodic = None;
+                (key.0, None)
+            }
+            _ => match wheel.pop() {
+                Some((at, id)) => (at.as_nanos(), Some(id)),
+                None => break,
+            },
+        };
+        fired.push((now, ev));
+        if let Some(&op) = script.next() {
+            spawn(op, now, period, &mut next_id, |t, id| wheel.schedule(t, id));
+        }
+        if ev.is_none() && script.len() > 0 {
+            periodic = Some((now + period, wheel.reserve_seq()));
+        }
+    }
+    fired
+}
+
 proptest! {
     /// SimTime/Duration arithmetic is consistent: (t + d) - t == d.
     #[test]
@@ -168,6 +249,22 @@ proptest! {
             }
         }
         prop_assert!(wheel.is_empty());
+    }
+
+    /// Differential check for a periodic timer kept beside the heap: one
+    /// event re-armed at `at + period`, merged by its reserved
+    /// `(time, seq)` key against [`TimingWheel::peek_key`], fires in
+    /// exactly the order it fires when scheduled on the heap like any
+    /// other event. Ordinary events land on the periodic grid often, so
+    /// same-instant ties between the two kinds are common.
+    #[test]
+    fn periodic_timer_beside_the_heap_matches_the_heap(
+        ops in prop::collection::vec((any::<u8>(), any::<u64>(), 0u8..3), 1..120),
+        period in 1u64..64,
+    ) {
+        let on_heap = periodic_on_heap(&ops, period);
+        let merged = periodic_merged(&ops, period);
+        prop_assert_eq!(merged, on_heap);
     }
 
     /// Schedule-everything-then-drain yields a time-sorted, FIFO-stable

@@ -70,7 +70,7 @@ proptest! {
             let path = format!("f{file}");
             match op {
                 0 => { let _ = fs.write(path, size); }
-                1 => { let _ = fs.append(path, size); }
+                1 => { let _ = fs.append(&path, size); }
                 _ => { let _ = fs.remove(&path); }
             }
             let sum: u64 = fs.iter().map(|(_, m)| m.size).sum();
